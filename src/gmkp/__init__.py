@@ -19,7 +19,6 @@ from .subset_select import (
     build_problem,
     canonical_D,
     f_d,
-    solve_dp_single_row,
     solve_exact,
 )
 from .assign import greedy_assign, swap_optimal
@@ -36,7 +35,7 @@ from .heuristics import (
     capacity_sweep,
     pareto_frontier,
 )
-from .oracle import enumerate_feasible_z, exact_gmkp, feasible_packing
+from .oracle import enumerate_feasible_z, exact_gmkp, feasible_packing, solve_dp_single_row
 from .gen import (
     GeneratorParams,
     RewardScheme,

@@ -7,6 +7,8 @@ File formats:
   result JSON    {"schema": "gmkp-result/1", ...}
   sweep CSV      schema,factor,reward,max_exceeded,dominated
   bench CSV      schema,instance,algo,reward,max_exceeded,time_ms
+                 (time_ms reads error:input:<msg> or error:budget:<msg> on a
+                 failed row)
 
 Items live inside their group, so a malformed partition is unrepresentable.
 Exit codes: 0 success, 2 input error, 3 search budget exceeded, 4 internal
@@ -20,12 +22,12 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import time
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import gen, heuristics, oracle, pipeline
+from . import gen, heuristics, oracle, pipeline, subset_select
 from .model import (
     BudgetExceededError,
     GmkpError,
@@ -46,7 +48,8 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
-ALGO_CHOICES = ("lp", "kp", "2mkp", "3mkp", "mkpd", "mkpprime", "100mkp", "best")
+SINGLE_ALGOS = ("lp", "kp", "2mkp", "3mkp", "mkpd", "mkpprime", "100mkp")
+ALGO_CHOICES = SINGLE_ALGOS + ("best",)
 
 
 class CliInputError(Exception):
@@ -74,24 +77,34 @@ def instance_to_json(instance: Instance) -> dict:
     }
 
 
-def instance_from_json(doc: dict) -> Instance:
+def _ints(values, what: str) -> list[int]:
+    if not isinstance(values, list) or not all(type(v) is int for v in values):
+        raise CliInputError(f"{what} must be a list of integers")
+    return values
+
+
+def instance_from_json(doc) -> Instance:
     """Parse the nested form; item indices are assigned group-major."""
-    if doc.get("schema") != INSTANCE_SCHEMA:
-        raise CliInputError(f"unsupported instance schema {doc.get('schema')!r}")
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != INSTANCE_SCHEMA:
+        raise CliInputError(f"unsupported instance schema {schema!r}")
+    entries, meta = doc.get("groups"), doc.get("meta", {})
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise CliInputError('"groups" must be a list of objects')
+    if not isinstance(meta, dict):
+        raise CliInputError('"meta" must be an object')
     weights: list[int] = []
     groups: list[tuple[int, ...]] = []
-    rewards: list[int] = []
-    for entry in doc["groups"]:
+    for entry in entries:
         start = len(weights)
-        weights.extend(int(w) for w in entry["items"])
+        weights.extend(_ints(entry.get("items"), "group items"))
         groups.append(tuple(range(start, len(weights))))
-        rewards.append(int(entry["reward"]))
     return Instance(
-        capacities=tuple(int(c) for c in doc["capacities"]),
+        capacities=tuple(_ints(doc.get("capacities"), "capacities")),
         item_weights=tuple(weights),
         groups=tuple(groups),
-        rewards=tuple(rewards),
-        meta=str(doc.get("meta", {}).get("id", "")),
+        rewards=tuple(_ints([e.get("reward") for e in entries], "group rewards")),
+        meta=str(meta.get("id", "")),
     )
 
 
@@ -116,7 +129,7 @@ def load_instance(path) -> Instance:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
         raise CliInputError(f"cannot read instance {path}: {exc}") from exc
     inst = instance_from_json(doc)
     problems = [v for v in validate(inst) if not v.startswith("plain-mkp")]
@@ -153,17 +166,37 @@ def result_to_json(result: pipeline.SolveResult, instance: Instance) -> dict:
 # ------------------------------------------------------------------- algos
 
 
-def parse_d_set(text: Optional[str], instance: Instance) -> Optional[list[Fraction]]:
-    if text is None:
-        return None
-    if text.strip() == "canonical":
-        from .subset_select import canonical_D
-
-        return sorted(canonical_D(instance), reverse=True)
+def _fractions(text: str, option: str) -> list[Fraction]:
+    """The positive fractions of a comma-separated ``option`` value."""
     try:
-        return [Fraction(part.strip()) for part in text.split(",") if part.strip()]
+        values = [Fraction(part) for part in text.split(",") if part.strip()]
     except (ValueError, ZeroDivisionError) as exc:
-        raise CliInputError(f"bad --d-set {text!r}: {exc}") from exc
+        raise CliInputError(f"bad {option} {text!r}: {exc}") from exc
+    if not values or any(v <= 0 for v in values):
+        raise CliInputError(f"{option} needs positive values, got {text!r}")
+    return values
+
+
+def resolve_algo(
+    instance: Instance, algo: str, d_set_text: Optional[str]
+) -> tuple[str, Optional[list[Fraction]]]:
+    """The pipeline variant and threshold set named by ``--algo`` and ``--d-set``.
+
+    ``100mkp`` is ``mkpd`` with thresholds c/2 .. c/c.  ``mkpd`` takes its
+    thresholds from ``--d-set`` (fractions or ``canonical``), and no other
+    algorithm takes any.  ``best`` is passed through for ``run_named_algo``.
+    """
+    if algo != "mkpd":
+        if d_set_text is not None:
+            raise CliInputError(f"--d-set goes only with --algo mkpd, not {algo}")
+        if algo == "100mkp":
+            return "mkpd", pipeline.hundred_mkp_d_set(instance.c_max)
+        return algo, None
+    if d_set_text is None:
+        raise CliInputError("--algo mkpd requires --d-set")
+    if d_set_text.strip() == "canonical":
+        return "mkpd", sorted(subset_select.canonical_D(instance), reverse=True)
+    return "mkpd", _fractions(d_set_text, "--d-set")
 
 
 def run_named_algo(
@@ -174,31 +207,29 @@ def run_named_algo(
     d_set_text: Optional[str] = None,
     node_budget: Optional[int] = None,
 ) -> pipeline.SolveResult:
-    if algo == "best":
+    variant, d_set = resolve_algo(instance, algo, d_set_text)
+    if variant == "best":
         return pipeline.run_best(instance, swap_opt=swap_opt, node_budget=node_budget)
-    if algo == "100mkp":
-        return pipeline.run_algorithm(
-            instance,
-            "mkpd",
-            swap_opt=swap_opt,
-            total_capacity=total_capacity,
-            d_set=pipeline.hundred_mkp_d_set(instance.c_max),
-            node_budget=node_budget,
-        )
-    d_set = parse_d_set(d_set_text, instance)
-    if algo == "mkpd" and d_set is None:
-        raise CliInputError("--algo mkpd requires --d-set")
-    return pipeline.run_algorithm(
-        instance,
-        algo,
-        swap_opt=swap_opt,
-        total_capacity=total_capacity,
-        d_set=d_set,
-        node_budget=node_budget,
-    )
+    return pipeline.run_algorithm(instance, variant, swap_opt=swap_opt, d_set=d_set,
+                                  total_capacity=total_capacity, node_budget=node_budget)
 
 
 # -------------------------------------------------------------- subcommands
+
+
+def _load(path) -> Instance:
+    """Read, validate and normalize one instance file."""
+    inst, _ = normalize(load_instance(path))
+    return inst
+
+
+def _emit(doc: dict, out: Optional[str]) -> None:
+    """Write a JSON document to ``out``, or to standard output without one."""
+    if out:
+        dump_json(doc, out)
+    else:
+        json.dump(doc, sys.stdout, indent=2, sort_keys=True)
+        print()
 
 
 def cmd_generate(args) -> int:
@@ -235,66 +266,36 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    inst = load_instance(args.instance)
-    inst, _ = normalize(inst)
-    result = run_named_algo(
-        inst,
-        args.algo,
-        swap_opt=args.swap_opt,
-        total_capacity=args.total_capacity,
-        d_set_text=args.d_set,
-        node_budget=args.node_budget,
-    )
-    doc = result_to_json(result, inst)
-    if args.out:
-        dump_json(doc, args.out)
-    else:
-        json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-        print()
+    inst = _load(args.instance)
+    result = run_named_algo(inst, args.algo, swap_opt=args.swap_opt, d_set_text=args.d_set,
+                            total_capacity=args.total_capacity, node_budget=args.node_budget)
+    _emit(result_to_json(result, inst), args.out)
     return EXIT_OK
 
 
 def cmd_feasible(args) -> int:
-    inst = load_instance(args.instance)
-    inst, _ = normalize(inst)
-    if args.algo in ("best",):
-        raise CliInputError("feasible search needs a single algorithm")
-    d_set = None
-    algo = args.algo
-    if algo == "100mkp":
-        algo, d_set = "mkpd", pipeline.hundred_mkp_d_set(inst.c_max)
-    elif args.d_set:
-        d_set = parse_d_set(args.d_set, inst)
+    inst = _load(args.instance)
+    variant, d_set = resolve_algo(inst, args.algo, args.d_set)
     search = heuristics.binary_search_feasible(
-        inst, algo, swap_opt=not args.no_swap_opt, d_set=d_set, node_budget=args.node_budget
+        inst, variant, swap_opt=not args.no_swap_opt, d_set=d_set, node_budget=args.node_budget
     )
     doc = result_to_json(search.result, inst)
     doc["probes"] = search.probes
     doc["aborted_early"] = search.aborted_early
-    if args.out:
-        dump_json(doc, args.out)
-    else:
-        json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-        print()
+    _emit(doc, args.out)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    inst = load_instance(args.instance)
-    inst, _ = normalize(inst)
+    inst = _load(args.instance)
+    variant, d_set = resolve_algo(inst, args.algo, args.d_set)
     factors = (
-        [Fraction(f) for f in args.factors.split(",")]
+        _fractions(args.factors, "--factors")
         if args.factors
         else list(heuristics.DEFAULT_SWEEP_FACTORS)
     )
-    algo = args.algo
-    d_set = None
-    if algo == "100mkp":
-        algo, d_set = "mkpd", pipeline.hundred_mkp_d_set(inst.c_max)
-    elif args.d_set:
-        d_set = parse_d_set(args.d_set, inst)
     entries = heuristics.capacity_sweep(
-        inst, algo, factors=factors, swap_opt=not args.no_swap_opt, d_set=d_set
+        inst, variant, factors=factors, swap_opt=not args.no_swap_opt, d_set=d_set
     )
     frontier = heuristics.pareto_frontier([e.result for e in entries if e.result])
     frontier_ids = {id(r) for r in frontier}
@@ -319,38 +320,35 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_exact(args) -> int:
-    inst = load_instance(args.instance)
-    inst, _ = normalize(inst)
+    inst = _load(args.instance)
     value, selection, assignment = oracle.exact_gmkp(inst, node_budget=args.node_budget)
-    doc = {
-        "schema": RESULT_SCHEMA,
-        "algorithm": "exact",
-        "optimal_reward": value,
-        "selection": list(selection.indices()),
-        "loads": list(assignment.loads),
-        "max_exceeded": assignment.max_exceeded(inst),
-    }
-    if args.out:
-        dump_json(doc, args.out)
-    else:
-        json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-        print()
+    _emit(
+        {
+            "schema": RESULT_SCHEMA,
+            "algorithm": "exact",
+            "optimal_reward": value,
+            "selection": list(selection.indices()),
+            "loads": list(assignment.loads),
+            "max_exceeded": assignment.max_exceeded(inst),
+        },
+        args.out,
+    )
     return EXIT_OK
 
 
 def _bench_one(path: Path, algo: str, swap_opt: bool, node_budget) -> list:
-    import time
-
+    """One bench row; an input or budget failure becomes a labelled error row."""
     try:
-        inst = load_instance(path)
-        inst, _ = normalize(inst)
+        inst = _load(path)
         t0 = time.perf_counter()
         result = run_named_algo(inst, algo, swap_opt=swap_opt, node_budget=node_budget)
         dt = (time.perf_counter() - t0) * 1000.0
         return [BENCH_SCHEMA, path.name, algo, result.metrics.reward,
                 result.metrics.max_exceeded, f"{dt:.3f}"]
-    except Exception as exc:  # per-row failures keep the batch going
-        return [BENCH_SCHEMA, path.name, algo, "", "", f"error:{exc}"]
+    except CliInputError as exc:
+        return [BENCH_SCHEMA, path.name, algo, "", "", f"error:input:{exc}"]
+    except BudgetExceededError as exc:
+        return [BENCH_SCHEMA, path.name, algo, "", "", f"error:budget:{exc}"]
 
 
 def _percentile(sorted_values: Sequence[float], p: float) -> float:
@@ -369,15 +367,7 @@ def cmd_bench(args) -> int:
     for a in algos:
         if a not in ALGO_CHOICES:
             raise CliInputError(f"unknown algorithm {a!r}")
-    jobs = [(p, a) for p in paths for a in algos]
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(
-                pool.map(lambda job: _bench_one(job[0], job[1], args.swap_opt, args.node_budget), jobs)
-            )
-    else:
-        rows = [_bench_one(p, a, args.swap_opt, args.node_budget) for p, a in jobs]
-
+    rows = [_bench_one(p, a, args.swap_opt, args.node_budget) for p in paths for a in algos]
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["schema", "instance", "algo", "reward", "max_exceeded", "time_ms"])
@@ -389,13 +379,17 @@ def cmd_bench(args) -> int:
         writer.writerow(["schema", "algo", "p50", "p75", "p90", "p95", "p99"])
         for a in algos:
             times = sorted(
-                float(r[5]) for r in rows if r[2] == a and not str(r[5]).startswith("error")
+                float(r[5]) for r in rows if r[2] == a and not r[5].startswith("error:")
             )
             writer.writerow(
                 [SUMMARY_SCHEMA, a]
                 + [f"{_percentile(times, p):.3f}" for p in (50, 75, 90, 95, 99)]
             )
     print(f"wrote {len(rows)} bench rows to {args.out}; summary in {summary_path}")
+    failures = [r[5].split(":")[1] for r in rows if r[5].startswith("error:")]
+    if failures:
+        print(f"error: {len(failures)} of {len(rows)} bench rows failed", file=sys.stderr)
+        return EXIT_BUDGET if "budget" in failures else EXIT_INPUT
     return EXIT_OK
 
 
@@ -414,30 +408,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=os.environ.get("GMKP_OUT_DIR", "instances"))
     p.set_defaults(func=cmd_generate)
 
-    def add_solver_args(p, with_capacity=True):
+    def add_algo_args(p, algos, default):
         p.add_argument("instance")
-        p.add_argument("--algo", choices=ALGO_CHOICES, default="3mkp")
+        p.add_argument("--algo", choices=algos, default=default)
         p.add_argument("--d-set", default=None,
-                       help="comma-separated thresholds (e.g. 100/2,100/3) or 'canonical'")
-        p.add_argument("--node-budget", type=int, default=None)
-        p.add_argument("--out", default=None)
-        if with_capacity:
-            p.add_argument("--total-capacity", type=int, default=None)
+                       help="thresholds for --algo mkpd only: comma-separated "
+                            "fractions (e.g. 100/2,100/3) or 'canonical'")
 
     p = sub.add_parser("solve", help="run one algorithm on one instance")
-    add_solver_args(p)
+    add_algo_args(p, ALGO_CHOICES, "3mkp")
+    p.add_argument("--node-budget", type=int, default=None)
+    p.add_argument("--out", default=None)
+    p.add_argument("--total-capacity", type=int, default=None)
     p.add_argument("--swap-opt", action="store_true")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("feasible", help="binary-search a capacity-feasible solution")
-    add_solver_args(p, with_capacity=False)
+    add_algo_args(p, SINGLE_ALGOS, "3mkp")
+    p.add_argument("--node-budget", type=int, default=None)
+    p.add_argument("--out", default=None)
     p.add_argument("--no-swap-opt", action="store_true")
     p.set_defaults(func=cmd_feasible)
 
     p = sub.add_parser("sweep", help="capacity sweep with Pareto frontier CSV")
-    p.add_argument("instance")
-    p.add_argument("--algo", choices=ALGO_CHOICES, default="2mkp")
-    p.add_argument("--d-set", default=None)
+    add_algo_args(p, SINGLE_ALGOS, "2mkp")
     p.add_argument("--factors", default=None, help="comma-separated factors, default 0.75..1.25")
     p.add_argument("--no-swap-opt", action="store_true")
     p.add_argument("--out", required=True)
@@ -454,7 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algos", default="lp,kp,2mkp,3mkp")
     p.add_argument("--swap-opt", action="store_true")
     p.add_argument("--node-budget", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--summary", default=None)
     p.set_defaults(func=cmd_bench)

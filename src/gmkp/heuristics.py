@@ -30,7 +30,7 @@ def _empty_result(instance: Instance, algorithm: str) -> SolveResult:
 class FeasibleSearchResult:
     result: SolveResult
     probes: int
-    aborted_early: bool  # a probe errored or the step budget ran out
+    aborted_early: bool  # max_probes ran out before the search closed
 
 
 def binary_search_feasible(
@@ -47,8 +47,8 @@ def binary_search_feasible(
     knapsack over capacity) becomes the incumbent and raises the lower
     bound, an infeasible one lowers the upper bound.  The incumbent with
     the highest reward is returned; in the worst case that is the empty
-    solution.  Mid-search solver errors stop the search and return the
-    best feasible solution found so far, flagged.
+    solution.  A probe's solver error (an exhausted ``node_budget``, say)
+    propagates to the caller.
     """
     left, right = 0, instance.total_capacity
     incumbent = _empty_result(instance, variant)
@@ -60,18 +60,14 @@ def binary_search_feasible(
             break
         mid = (left + right) // 2
         probes += 1
-        try:
-            res = pipeline.run_algorithm(
-                instance,
-                variant,
-                swap_opt=swap_opt,
-                total_capacity=mid,
-                d_set=d_set,
-                node_budget=node_budget,
-            )
-        except GmkpError:
-            aborted = True
-            break
+        res = pipeline.run_algorithm(
+            instance,
+            variant,
+            swap_opt=swap_opt,
+            total_capacity=mid,
+            d_set=d_set,
+            node_budget=node_budget,
+        )
         if res.metrics.max_exceeded <= 0:
             if res.metrics.reward >= incumbent.metrics.reward:
                 incumbent = res

@@ -1,7 +1,7 @@
 """Greedy solver for the continuous relaxation of the grouped problem.
 
-Groups are taken in non-increasing reward-to-weight order and poured into
-the knapsacks one by one; at most the last group taken is fractional.  All
+Groups are taken in non-increasing reward-to-weight order until their
+weight fills the budget; at most the last group taken is fractional.  All
 arithmetic is exact (integers and Fractions).
 """
 
@@ -25,16 +25,17 @@ def sort_groups(instance: Instance) -> list[int]:
 
 
 def greedy_lp(instance: Instance, total_capacity: Optional[int] = None) -> FractionalSolution:
-    """Fill knapsacks sequentially with groups in sorted order.
+    """Take groups in sorted order until their weight reaches the budget.
 
     ``total_capacity`` overrides the aggregate budget for the fractional
     selection (defaults to the sum of capacities).  The physical placement
     constraints cap usable weight at the capacity sum regardless, so the
     effective budget is ``min(total_capacity, sum(capacities))``.
 
-    The result satisfies: per-knapsack loads within capacity, placed
-    fraction of every item equal to its group's z, and at most one group
-    with a strictly fractional z.
+    Every group of the sorted prefix that fits is taken whole; the first
+    group that does not fit is taken in the fraction that fills the budget,
+    and nothing after it.  Pouring that selection into the knapsacks one
+    by one fits their capacities, since the budget is at most their sum.
     """
     gw = instance.group_weights()
     cap_sum = instance.total_capacity
@@ -42,31 +43,11 @@ def greedy_lp(instance: Instance, total_capacity: Optional[int] = None) -> Fract
     if budget < 0:
         raise ValueError("total_capacity must be non-negative")
 
-    order = sort_groups(instance)
     z: list[Fraction] = [Fraction(0)] * instance.k
-    x: dict[tuple[int, int], Fraction] = {}
-    i = 0  # current knapsack
-    knapsack_weight = Fraction(0)
-    total_weight = Fraction(0)
-
-    for l in order:
-        if i >= instance.m:
+    left = budget
+    for l in sort_groups(instance):
+        if left <= 0:
             break
-        zl = min(Fraction(1), Fraction(budget - total_weight) / gw[l])
-        if zl <= 0:
-            break
-        z[l] = zl
-        for j in instance.groups[l]:
-            item_weight = zl * instance.item_weights[j]
-            while item_weight > 0:
-                piece = min(item_weight, instance.capacities[i] - knapsack_weight)
-                x[(i, j)] = x.get((i, j), Fraction(0)) + piece / instance.item_weights[j]
-                item_weight -= piece
-                knapsack_weight += piece
-                total_weight += piece
-                if knapsack_weight == instance.capacities[i]:
-                    knapsack_weight = Fraction(0)
-                    i += 1
-                    if i >= instance.m and item_weight > 0:
-                        raise AssertionError("knapsacks exhausted before budget")
-    return FractionalSolution(z=tuple(z), x=x)
+        z[l] = Fraction(min(left, gw[l]), gw[l])
+        left -= gw[l]
+    return FractionalSolution(z=tuple(z))

@@ -7,7 +7,7 @@ point enters any solver computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -145,14 +145,9 @@ class Assignment:
 
 @dataclass(frozen=True)
 class FractionalSolution:
-    """Fractional group selection with fractional item placements.
-
-    ``z[l]`` is the selected fraction of group ``l``; ``x[(i, j)]`` the
-    fraction of item ``j`` placed on knapsack ``i``.
-    """
+    """Fractional group selection: ``z[l]`` is the selected fraction of group ``l``."""
 
     z: tuple[Fraction, ...]
-    x: dict = field(default_factory=dict)
 
     def objective(self, instance: Instance) -> Fraction:
         return sum((zl * p for zl, p in zip(self.z, instance.rewards)), Fraction(0))

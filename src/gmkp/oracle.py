@@ -1,7 +1,8 @@
-"""Exact small-instance machinery: optimal solving and feasibility checks.
+"""Exact small-instance machinery: optimal solving, feasibility checks and
+reference solvers for the selection subproblems.
 
-Everything here is exponential-time search with pruning; intended for
-instances with at most roughly a dozen groups and a few dozen items.
+Most of it is exponential-time search with pruning, intended for instances
+with at most roughly a dozen groups and a few dozen items.
 """
 
 from __future__ import annotations
@@ -131,6 +132,33 @@ def exact_gmkp(
     if best_value < 0:  # empty selection is always feasible
         best_value = 0
     return best_value, best_selection, best_assignment
+
+
+def solve_dp_single_row(problem: SelectionProblem) -> Selection:
+    """Classic 0/1 knapsack DP over the single row's right-hand side."""
+    if len(problem.rows) != 1:
+        raise ValueError("DP solver handles exactly one row")
+    coeffs, rhs = problem.rows[0]
+    k = problem.k
+    values = [0] * (rhs + 1)
+    take = [[False] * (rhs + 1) for _ in range(k)]
+    for l in range(k):
+        w, p = coeffs[l], problem.group_rewards[l]
+        if w > rhs:
+            continue
+        row_take = take[l]
+        for cap in range(rhs, w - 1, -1):
+            cand = values[cap - w] + p
+            if cand > values[cap]:
+                values[cap] = cand
+                row_take[cap] = True
+    chosen = [False] * k
+    cap = rhs
+    for l in range(k - 1, -1, -1):
+        if take[l][cap]:
+            chosen[l] = True
+            cap -= coeffs[l]
+    return Selection(tuple(chosen))
 
 
 def enumerate_feasible_z(problem: SelectionProblem) -> set[tuple[bool, ...]]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from . import assign, lp_greedy, subset_select
 from .model import Assignment, BiCriteriaMetrics, Instance, Selection, metrics
@@ -83,27 +83,17 @@ def run_algorithm(
 
 
 def run_best(
-    instance: Instance,
-    variants: Sequence[str] = (
-        VARIANT_LP,
-        subset_select.VARIANT_KP,
-        subset_select.VARIANT_2MKP,
-        subset_select.VARIANT_3MKP,
-    ),
-    swap_opt: bool = False,
-    d_set: Optional[Iterable[Fraction]] = None,
-    node_budget: Optional[int] = None,
+    instance: Instance, swap_opt: bool = False, node_budget: Optional[int] = None
 ) -> SolveResult:
-    """Run several variants and keep the feasibility-first winner.
+    """Run lp, kp, 2mkp and 3mkp and keep the feasibility-first winner.
 
     Winner = smallest maximum overload, ties broken by larger reward,
     then by variant order.  The result keeps the winning variant's tag.
     """
     best = None
-    for v in variants:
-        res = run_algorithm(
-            instance, v, swap_opt=swap_opt, d_set=d_set, node_budget=node_budget
-        )
+    for v in (VARIANT_LP, subset_select.VARIANT_KP,
+              subset_select.VARIANT_2MKP, subset_select.VARIANT_3MKP):
+        res = run_algorithm(instance, v, swap_opt=swap_opt, node_budget=node_budget)
         key = (res.metrics.max_exceeded, -res.metrics.reward)
         if best is None or key < best[0]:
             best = (key, res)

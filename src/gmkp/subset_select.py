@@ -168,33 +168,6 @@ def build_problem(
     )
 
 
-def solve_dp_single_row(problem: SelectionProblem) -> Selection:
-    """Classic 0/1 knapsack DP over the single row's right-hand side."""
-    if len(problem.rows) != 1:
-        raise ValueError("DP solver handles exactly one row")
-    coeffs, rhs = problem.rows[0]
-    k = problem.k
-    values = [0] * (rhs + 1)
-    take = [[False] * (rhs + 1) for _ in range(k)]
-    for l in range(k):
-        w, p = coeffs[l], problem.group_rewards[l]
-        if w > rhs:
-            continue
-        row_take = take[l]
-        for cap in range(rhs, w - 1, -1):
-            cand = values[cap - w] + p
-            if cand > values[cap]:
-                values[cap] = cand
-                row_take[cap] = True
-    chosen = [False] * k
-    cap = rhs
-    for l in range(k - 1, -1, -1):
-        if take[l][cap]:
-            chosen[l] = True
-            cap -= coeffs[l]
-    return Selection(tuple(chosen))
-
-
 def _greatest_weight_counts(
     T: int, cnt: list[int], col: list[list[int]], rhs_list: list[int]
 ) -> list[int]:

@@ -2,9 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gmkp
 from gmkp.cli import (
     EXIT_BUDGET,
     EXIT_INPUT,
@@ -23,6 +28,19 @@ def make(caps, weights, groups, rewards):
 
 def write_instance(path, instance):
     path.write_text(json.dumps(instance_to_json(instance)))
+
+
+def write_doc(path, groups):
+    path.write_text(json.dumps({"schema": "gmkp/1", "capacities": [10, 10], "groups": groups}))
+
+
+@pytest.fixture
+def noisy(tmp_path):
+    """Rewards that differ from group weights send selection to branch-and-bound."""
+    path = tmp_path / "inst_noisy.json"
+    write_doc(path, [{"reward": 9, "items": [6, 3]}, {"reward": 9, "items": [5, 4]},
+                     {"reward": 40, "items": [7]}])
+    return path
 
 
 @pytest.fixture
@@ -175,6 +193,12 @@ class TestFeasible:
         assert doc["max_exceeded"] <= 0
         assert doc["probes"] >= 1 and doc["aborted_early"] is False
 
+    def test_budget_failure_exits_3(self, noisy, tmp_path, capsys):
+        out = tmp_path / "f.json"
+        argv = ["feasible", str(noisy), "--algo", "kp", "--node-budget", "0", "--out", str(out)]
+        assert main(argv) == EXIT_BUDGET
+        assert not out.exists()
+
 
 class TestSweep:
     def test_eleven_rows_with_schema(self, sample, tmp_path):
@@ -223,15 +247,9 @@ class TestBench:
         gen_dir = tmp_path / "gen"
         main(["generate", "--count", "2", "--seed", "11", "--out-dir", str(gen_dir)])
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        code = main(
-            ["bench", "--instances", str(gen_dir), "--algos", "lp,kp",
-             "--out", str(out1), "--workers", "1"]
-        )
+        code = main(["bench", "--instances", str(gen_dir), "--algos", "lp,kp", "--out", str(out1)])
         assert code == EXIT_OK
-        main(
-            ["bench", "--instances", str(gen_dir), "--algos", "lp,kp",
-             "--out", str(out2), "--workers", "4"]
-        )
+        main(["bench", "--instances", str(gen_dir), "--algos", "lp,kp", "--out", str(out2)])
 
         def stable(path):
             rows = list(csv.DictReader(path.open()))
@@ -245,6 +263,16 @@ class TestBench:
         assert [r["algo"] for r in summary] == ["lp", "kp"]
         assert all(r["schema"] == "gmkp-bench-summary/1" for r in summary)
 
+    def test_failed_rows_set_the_exit_code(self, noisy, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        argv = ["bench", "--instances", str(noisy.parent), "--node-budget", "0", "--out", str(out)]
+        assert main(argv + ["--algos", "kp"]) == EXIT_BUDGET
+        assert next(csv.DictReader(out.open()))["time_ms"].startswith("error:budget:")
+        assert main(argv + ["--algos", "lp,mkpd"]) == EXIT_INPUT
+        rows = list(csv.DictReader(out.open()))
+        assert rows[0]["time_ms"] != "" and not rows[0]["time_ms"].startswith("error:")
+        assert rows[1]["time_ms"].startswith("error:input:")
+
     def test_empty_dir_is_input_error(self, tmp_path, capsys):
         empty = tmp_path / "none"
         empty.mkdir()
@@ -252,3 +280,35 @@ class TestBench:
             main(["bench", "--instances", str(empty), "--out", str(tmp_path / "o.csv")])
             == EXIT_INPUT
         )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "{inst}", "--factors", "1,abc", "--out", "{out}"],
+        ["sweep", "{inst}", "--factors", "0,1", "--out", "{out}"],
+        ["solve", "{no_groups}"],
+        ["solve", "{text_weight}"],
+        ["feasible", "{inst}", "--algo", "mkpd"],
+        ["sweep", "{inst}", "--algo", "mkpd", "--out", "{out}"],
+        ["sweep", "{inst}", "--algo", "best", "--out", "{out}"],
+        ["solve", "{inst}", "--algo", "kp", "--d-set", "5"],
+        ["solve", "{inst}", "--algo", "mkpd", "--d-set", "0,5"],
+    ],
+    ids=["factor-text", "factor-zero", "no-groups", "text-weight", "feasible-mkpd",
+         "sweep-mkpd", "sweep-best", "kp-d-set", "zero-threshold"],
+)
+def test_input_error_exits_2_without_traceback(argv, sample, tmp_path):
+    no_groups, text_weight = tmp_path / "no_groups.json", tmp_path / "text_weight.json"
+    no_groups.write_text(json.dumps({"schema": "gmkp/1", "capacities": [10, 10]}))
+    write_doc(text_weight, [{"reward": 5, "items": ["a"]}])
+    names = {"inst": sample[1], "out": tmp_path / "o.csv", "no_groups": no_groups,
+             "text_weight": text_weight}
+    src = str(Path(gmkp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "gmkp.cli", *(a.format(**names) for a in argv)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == EXIT_INPUT, proc.stderr
+    assert "Traceback" not in proc.stderr

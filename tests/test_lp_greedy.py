@@ -17,6 +17,29 @@ def make(caps, weights, groups, rewards):
     return Instance(tuple(caps), tuple(weights), tuple(groups), tuple(rewards))
 
 
+def pour(inst, z):
+    """Placements ``x[(i, j)]``: the fraction of item ``j`` on knapsack ``i``.
+
+    Groups are poured in ratio order, each item's ``z`` share filling the
+    knapsacks one by one.
+    """
+    x = {}
+    i, room = 0, Fraction(inst.capacities[0])
+    for l in sort_groups(inst):
+        for j in inst.groups[l]:
+            weight = z[l] * inst.item_weights[j]
+            while weight > 0:
+                assert i < inst.m, "knapsacks exhausted before the selection is placed"
+                piece = min(weight, room)
+                x[(i, j)] = x.get((i, j), Fraction(0)) + piece / inst.item_weights[j]
+                weight -= piece
+                room -= piece
+                if room == 0:
+                    i += 1
+                    room = Fraction(inst.capacities[i]) if i < inst.m else Fraction(0)
+    return x
+
+
 class TestSortGroups:
     def test_ratio_order(self):
         # ratios: 10/5=2, 9/3=3, 4/4=1
@@ -77,7 +100,7 @@ class TestGreedyLp:
             frac = greedy_lp(inst)
             loads = [Fraction(0)] * inst.m
             placed = [Fraction(0)] * inst.n
-            for (i, j), share in frac.x.items():
+            for (i, j), share in pour(inst, frac.z).items():
                 loads[i] += share * inst.item_weights[j]
                 placed[j] += share
             for i in range(inst.m):
@@ -91,7 +114,7 @@ class TestGreedyLp:
         for _ in range(40):
             inst = random_small_instance(rng)
             frac = greedy_lp(inst)
-            assert len(frac.x) <= inst.n + inst.m
+            assert len(pour(inst, frac.z)) <= inst.n + inst.m
 
     def test_objective_at_least_integer_optimum(self):
         rng = random.Random(8)
@@ -110,7 +133,7 @@ class TestGreedyLp:
     def test_budget_zero_selects_nothing(self):
         inst = make([10, 10], [6], [(0,)], [6])
         frac = greedy_lp(inst, total_capacity=0)
-        assert frac.z == (Fraction(0),) and frac.x == {}
+        assert frac.z == (Fraction(0),) and pour(inst, frac.z) == {}
 
     def test_budget_above_capacity_sum_is_clamped(self):
         inst = make([5, 5], [6, 6], [(0,), (1,)], [6, 6])

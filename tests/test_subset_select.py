@@ -8,13 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmkp.model import BudgetExceededError, Instance
-from gmkp.oracle import enumerate_feasible_z
+from gmkp.oracle import enumerate_feasible_z, solve_dp_single_row
 from gmkp.subset_select import (
     SelectionProblem,
     build_problem,
     canonical_D,
     f_d,
-    solve_dp_single_row,
     solve_exact,
 )
 from conftest import random_small_instance
