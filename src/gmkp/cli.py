@@ -209,6 +209,8 @@ def run_named_algo(
 ) -> pipeline.SolveResult:
     variant, d_set = resolve_algo(instance, algo, d_set_text)
     if variant == "best":
+        if total_capacity is not None:
+            raise CliInputError("--total-capacity does not go with --algo best")
         return pipeline.run_best(instance, swap_opt=swap_opt, node_budget=node_budget)
     return pipeline.run_algorithm(instance, variant, swap_opt=swap_opt, d_set=d_set,
                                   total_capacity=total_capacity, node_budget=node_budget)
@@ -233,14 +235,20 @@ def _emit(doc: dict, out: Optional[str]) -> None:
 
 
 def cmd_generate(args) -> int:
-    out_dir = Path(args.out_dir)
+    try:
+        all_params = [
+            gen.materialize(point, capacity=args.capacity, seed=args.seed * 1_000_003 + idx)
+            for idx, point in enumerate(gen.latin_hypercube(args.count, args.seed))
+        ]
+    except ValueError as exc:  # count, capacity or seed out of the generator's range
+        raise CliInputError(f"cannot generate: {exc}") from exc
+    out_dir = Path(args.out_dir if args.out_dir is not None
+                   else os.environ.get("GMKP_OUT_DIR", "instances"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    points = gen.latin_hypercube(args.count, args.seed)
     scheme = gen.RewardScheme(args.reward_scheme, seed=args.seed)
     manifest = {"schema": "gmkp-manifest/1", "seed": args.seed, "count": args.count,
                 "reward_scheme": args.reward_scheme, "rng": gen.RNG_NAME, "instances": []}
-    for idx in range(args.count):
-        params = gen.materialize(points[idx], capacity=args.capacity, seed=args.seed * 1_000_003 + idx)
+    for idx, params in enumerate(all_params):
         inst = gen.generate_instance(params)
         if args.reward_scheme != "R0":
             inst = gen.apply_reward_scheme(inst, scheme)
@@ -405,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--capacity", type=int, default=100)
     p.add_argument("--reward-scheme", choices=("R0", "R1", "R2", "R3"), default="R0")
-    p.add_argument("--out-dir", default=os.environ.get("GMKP_OUT_DIR", "instances"))
+    p.add_argument("--out-dir", default=None, help="default: $GMKP_OUT_DIR, else instances")
     p.set_defaults(func=cmd_generate)
 
     def add_algo_args(p, algos, default):
@@ -454,9 +462,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: main runs many times in one process under tests and benchmarks.
+_PARSER = build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except CliInputError as exc:

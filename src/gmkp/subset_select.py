@@ -154,9 +154,14 @@ def build_problem(
     else:
         raise ValueError(f"unknown variant {variant!r}")
 
+    # f_d inlined: each threshold's numerator and denominator are read once.
+    weights = instance.item_weights
+    if ds and min(weights + instance.capacities, default=1) < 1:
+        raise ValueError("y must be a positive integer")
     for d in ds:
-        coeffs = tuple(sum(f_d(instance.item_weights[j], d) for j in g) for g in instance.groups)
-        rhs = sum(f_d(c, d) for c in instance.capacities)
+        num, den = d.numerator, d.denominator
+        coeffs = tuple(sum((weights[j] * den - 1) // num for j in g) for g in instance.groups)
+        rhs = sum((c * den - 1) // num for c in instance.capacities)
         rows.append((coeffs, rhs))
         tags.append(f"fd:{d}")
 
@@ -178,21 +183,46 @@ def _greatest_weight_counts(
     Polynomial in the state space times the row-0 right-hand side.  Forward
     tables are snapshotted every few types so reconstruction reruns only
     short segments.
+
+    A state is keyed by one int.  Cut row ``r >= 1`` owns a field of
+    ``k_r + 1`` bits, ``k_r = rhs_r.bit_length()``, holding
+    ``usage_r + bias_r`` with ``bias_r = 2**k_r - 1 - rhs_r``; row 1 is the
+    most significant field.  Usage exceeds ``rhs_r`` exactly when the top bit
+    of its field is set.  Only types with every ``c_r <= rhs_r`` are applied,
+    so one copy added to a state within bounds keeps each field below
+    ``2**(k_r + 1)``: no carry crosses a field, one add of the type's shifted
+    coefficients is a copy, and one mask test finds every overflow.  Int
+    order on keys is tuple order on usages, so ties break as on tuples.
     """
-    num_rows = len(rhs_list)
     rhs0 = rhs_list[0]
     mask = (1 << (rhs0 + 1)) - 1
     cut_rhs = rhs_list[1:]
 
+    # Field layout, row 1 in the top bits.
+    pos = [0] * len(cut_rhs)
+    base_key = over = width = 0
+    for r in range(len(cut_rhs) - 1, -1, -1):
+        k = cut_rhs[r].bit_length()
+        pos[r] = width
+        base_key |= ((1 << k) - 1 - cut_rhs[r]) << width
+        over |= 1 << (width + k)
+        width += k + 1
+    fits = [all(c[t] <= rhs for c, rhs in zip(col, rhs_list)) for t in range(T)]
+    delta = [sum(c[t] << p for c, p in zip(col[1:], pos)) for t in range(T)]
+
+    def key(usage) -> int:
+        return base_key + sum(u << p for u, p in zip(usage, pos))
+
     def apply_type(table: dict, t: int) -> dict:
-        c0 = col[0][t]
-        cut = [col[r][t] for r in range(1, num_rows)]
+        if not fits[t]:
+            return table
+        c0, d = col[0][t], delta[t]
         for _ in range(cnt[t]):
             new_table = dict(table)
             changed = False
             for s, bits in table.items():
-                ns = tuple(a + b for a, b in zip(s, cut))
-                if any(a > b for a, b in zip(ns, cut_rhs)):
+                ns = s + d
+                if ns & over:
                     continue
                 shifted = (bits << c0) & mask
                 if shifted:
@@ -207,7 +237,7 @@ def _greatest_weight_counts(
         return table
 
     stride = max(1, -(-T // 16))
-    snapshots = {0: {(0,) * (num_rows - 1): 1}}
+    snapshots = {0: {base_key: 1}}
     table = snapshots[0]
     for t in range(T):
         table = apply_type(table, t)
@@ -216,7 +246,9 @@ def _greatest_weight_counts(
 
     final = snapshots[T]
     best_u0 = max(bits.bit_length() - 1 for bits in final.values())
-    state = min(s for s, bits in final.items() if (bits >> best_u0) & 1)
+    best_key = min(s for s, bits in final.items() if (bits >> best_u0) & 1) - base_key
+    state = tuple((best_key >> p) & ((1 << (rhs.bit_length() + 1)) - 1)
+                  for p, rhs in zip(pos, cut_rhs))
     u0 = best_u0
 
     counts_out = [0] * T
@@ -231,13 +263,13 @@ def _greatest_weight_counts(
         for u in range(t, base - 1, -1):
             before = seg[u]
             c0 = col[0][u]
-            cut = [col[r][u] for r in range(1, num_rows)]
+            cut = [c[u] for c in col[1:]]
             for q in range(cnt[u], -1, -1):
                 ps = tuple(a - q * b for a, b in zip(state, cut))
                 pu = u0 - q * c0
                 if pu < 0 or any(a < 0 for a in ps):
                     continue
-                bits = before.get(ps)
+                bits = before.get(key(ps))
                 if bits is not None and (bits >> pu) & 1:
                     counts_out[u] = q
                     state, u0 = ps, pu

@@ -109,6 +109,15 @@ class TestGenerate:
         for name in ("inst_4_0.json", "inst_4_1.json", "manifest_4.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_out_dir_variable_read_at_each_call(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("GMKP_OUT_DIR", raising=False)
+        assert main(["generate", "--count", "1", "--seed", "3"]) == EXIT_OK
+        assert (tmp_path / "instances" / "inst_3_0.json").is_file()
+        monkeypatch.setenv("GMKP_OUT_DIR", str(tmp_path / "env"))
+        assert main(["generate", "--count", "1", "--seed", "3"]) == EXIT_OK
+        assert (tmp_path / "env" / "inst_3_0.json").is_file()
+
 
 class TestSolve:
     def test_solve_writes_result(self, sample, tmp_path):
@@ -294,16 +303,21 @@ class TestBench:
         ["sweep", "{inst}", "--algo", "best", "--out", "{out}"],
         ["solve", "{inst}", "--algo", "kp", "--d-set", "5"],
         ["solve", "{inst}", "--algo", "mkpd", "--d-set", "0,5"],
+        ["solve", "{inst}", "--algo", "best", "--total-capacity", "5"],
+        ["generate", "--count", "0", "--out-dir", "{gen}"],
+        ["generate", "--count", "-1", "--out-dir", "{gen}"],
+        ["generate", "--capacity", "0", "--out-dir", "{gen}"],
     ],
     ids=["factor-text", "factor-zero", "no-groups", "text-weight", "feasible-mkpd",
-         "sweep-mkpd", "sweep-best", "kp-d-set", "zero-threshold"],
+         "sweep-mkpd", "sweep-best", "kp-d-set", "zero-threshold", "best-total-capacity",
+         "count-zero", "count-negative", "capacity-zero"],
 )
 def test_input_error_exits_2_without_traceback(argv, sample, tmp_path):
     no_groups, text_weight = tmp_path / "no_groups.json", tmp_path / "text_weight.json"
     no_groups.write_text(json.dumps({"schema": "gmkp/1", "capacities": [10, 10]}))
     write_doc(text_weight, [{"reward": 5, "items": ["a"]}])
     names = {"inst": sample[1], "out": tmp_path / "o.csv", "no_groups": no_groups,
-             "text_weight": text_weight}
+             "text_weight": text_weight, "gen": tmp_path / "gen"}
     src = str(Path(gmkp.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
@@ -312,3 +326,4 @@ def test_input_error_exits_2_without_traceback(argv, sample, tmp_path):
     )
     assert proc.returncode == EXIT_INPUT, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "gen").exists()

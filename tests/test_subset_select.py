@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gmkp import gen
 from gmkp.model import BudgetExceededError, Instance
 from gmkp.oracle import enumerate_feasible_z, solve_dp_single_row
 from gmkp.subset_select import (
     SelectionProblem,
+    _greatest_weight_counts,
     build_problem,
     canonical_D,
     f_d,
@@ -255,3 +257,114 @@ class TestSolvers:
             a = selection_value(base, solve_exact(base))
             b = selection_value(scaled, solve_exact(scaled))
             assert 7 * a == b
+
+
+def tuple_state_weight_counts(T, cnt, col, rhs_list):
+    """Reference weight DP with each cut-row usage vector kept as a tuple.
+
+    Same recurrence, snapshots and tie-breaks as ``_greatest_weight_counts``,
+    which packs the tuple into one biased int per state.
+    """
+    num_rows = len(rhs_list)
+    rhs0 = rhs_list[0]
+    mask = (1 << (rhs0 + 1)) - 1
+    cut_rhs = rhs_list[1:]
+
+    def apply_type(table: dict, t: int) -> dict:
+        c0 = col[0][t]
+        cut = [col[r][t] for r in range(1, num_rows)]
+        for _ in range(cnt[t]):
+            new_table = dict(table)
+            changed = False
+            for s, bits in table.items():
+                ns = tuple(a + b for a, b in zip(s, cut))
+                if any(a > b for a, b in zip(ns, cut_rhs)):
+                    continue
+                shifted = (bits << c0) & mask
+                if shifted:
+                    prev = new_table.get(ns, 0)
+                    merged = prev | shifted
+                    if merged != prev:
+                        new_table[ns] = merged
+                        changed = True
+            if not changed:
+                break
+            table = new_table
+        return table
+
+    stride = max(1, -(-T // 16))
+    snapshots = {0: {(0,) * (num_rows - 1): 1}}
+    table = snapshots[0]
+    for t in range(T):
+        table = apply_type(table, t)
+        if (t + 1) % stride == 0 or t + 1 == T:
+            snapshots[t + 1] = table
+
+    final = snapshots[T]
+    best_u0 = max(bits.bit_length() - 1 for bits in final.values())
+    state = min(s for s, bits in final.items() if (bits >> best_u0) & 1)
+    u0 = best_u0
+
+    counts_out = [0] * T
+    t = T - 1
+    while t >= 0:
+        base = max(b for b in snapshots if b <= t)
+        seg = {base: snapshots[base]}
+        tbl = snapshots[base]
+        for u in range(base, t):
+            tbl = apply_type(tbl, u)
+            seg[u + 1] = tbl
+        for u in range(t, base - 1, -1):
+            before = seg[u]
+            c0 = col[0][u]
+            cut = [col[r][u] for r in range(1, num_rows)]
+            for q in range(cnt[u], -1, -1):
+                ps = tuple(a - q * b for a, b in zip(state, cut))
+                pu = u0 - q * c0
+                if pu < 0 or any(a < 0 for a in ps):
+                    continue
+                bits = before.get(ps)
+                if bits is not None and (bits >> pu) & 1:
+                    counts_out[u] = q
+                    state, u0 = ps, pu
+                    break
+            else:
+                raise AssertionError("weight-fill backtrack lost the target state")
+        t = base - 1
+    return counts_out
+
+
+def dp_arguments(problem: SelectionProblem):
+    """``(T, cnt, col, rhs_list)`` as ``solve_exact`` hands them to the weight DP."""
+    members: dict[tuple[int, ...], int] = {}
+    for l in range(problem.k):
+        key = tuple(coeffs[l] for coeffs, _ in problem.rows)
+        members[key] = members.get(key, 0) + 1
+    keys = sorted(members, key=lambda key: (key[0] == 0, -key[0], key))
+    col = [[key[r] for key in keys] for r in range(len(problem.rows))]
+    return len(keys), [members[key] for key in keys], col, [rhs for _, rhs in problem.rows]
+
+
+class TestWeightDpEncoding:
+    """The int-keyed weight DP against the tuple-keyed reference."""
+
+    def test_random_problems(self):
+        rng = random.Random(19)
+        for _ in range(600):
+            rows = rng.randint(1, 4)
+            T = rng.randint(1, 7)
+            cnt = [rng.randint(1, 5) for _ in range(T)]
+            rhs_list = [rng.randint(0, 40)] + [rng.choice((0, 1, 2, 3, 7, 8, 15)) for _ in range(rows - 1)]
+            # coefficients may exceed the right-hand side of their row
+            col = [[rng.randint(0, rhs + 3) for _ in range(T)] for rhs in rhs_list]
+            args = (T, cnt, col, rhs_list)
+            assert _greatest_weight_counts(*args) == tuple_state_weight_counts(*args), args
+
+    @pytest.mark.parametrize("variant", ["2mkp", "3mkp", "mkpprime"])
+    def test_generator_instances(self, variant):
+        for idx, point in enumerate(gen.latin_hypercube(6, 3)):
+            unit = [0.12 * float(u) if d in (0, 4) else float(u) for d, u in enumerate(point)]
+            inst = gen.generate_instance(gen.materialize(unit, seed=idx))
+            for budget in (inst.total_capacity, 3 * inst.total_capacity // 4):
+                args = dp_arguments(build_problem(inst, variant, total_capacity=budget))
+                assert _greatest_weight_counts(*args) == tuple_state_weight_counts(*args)
