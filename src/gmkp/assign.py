@@ -29,96 +29,92 @@ def greedy_assign(instance: Instance, selection: Selection) -> Assignment:
     return Assignment(tuple(placement), tuple(loads))
 
 
-def _potential(loads, capacities, c_max) -> int:
-    return sum((load - c + c_max) ** 2 for load, c in zip(loads, capacities))
-
-
 def swap_optimal(instance: Instance, assignment: Assignment) -> Assignment:
     """Local search to a jump/swap fixed point.
 
-    A move (relocate one item, or exchange two items on different
-    knapsacks) is accepted iff it strictly decreases the load-balance
-    potential sum((load_i - c_i + c_max)^2) and does not increase the
-    maximum overload.  The scan is a deterministic sweep (jumps by
-    (item, target), then swaps by item pair); the first improving move is
-    applied and the sweep restarts.  The potential is a non-negative
-    integer that drops on every accepted move, so termination is
-    guaranteed; a step guard turns a logic error into a loud failure
-    instead of a hang.
+    A move relocates one item (a jump) or exchanges two items on different
+    knapsacks (a swap).  It is accepted iff it strictly lowers the
+    load-balance potential phi = sum((load_i - c_i + c_max)^2) and does not
+    raise the maximum overload.  Each pass applies the first improving jump
+    by (item, target knapsack), or, if there is none, the first improving
+    swap by item pair, both in ascending index order, and then starts over.
+
+    With ``over[i] = load_i - c_i``, shifting weight ``x`` from a knapsack
+    with overload ``o_from`` to one with ``o_to`` changes phi by
+    ``-2x(g - x)``, ``g = o_from - o_to``: the move improves iff ``x`` lies
+    strictly between 0 and ``g``.  A jump of item j shifts ``x = w_j`` from
+    its knapsack; a swap of j1 (on i1) with j2 (on i2) shifts
+    ``x = w_j2 - w_j1`` from i2 to i1.  So item j has an improving jump iff
+    ``0 < w_j < over[src] - min(over)``, and its target is the lowest such
+    knapsack.  Two items on one knapsack have ``g = 0`` and never pass; a
+    swap partner needs ``|g| >= 2``, so an item on a knapsack within 1 of
+    both ``min(over)`` and ``max(over)`` has none.
+
+    The max-overload condition is implied: the knapsack that gains ends
+    strictly below the other one's old overload (``o_to + x < o_from`` for
+    ``x > 0``), which is at most ``max(over)``, and the other one loses.
+
+    Weights of valid instances are positive (``validate``).  A zero-weight
+    item is never moved: its jumps leave phi unchanged, and a swap with it
+    shifts its partner's weight, which the partner's own jump, tried first,
+    would do.  A negative weight (``over[src] - max(over) < w_j < 0``) moves
+    by the same test.
+
+    Each accepted move lowers the non-negative integer phi by at least 2,
+    so at most ``phi0 // 2`` moves happen from a start at ``phi0``; one more
+    raises ``GmkpError``, a logic error made loud instead of a hang.
     """
-    placement = list(assignment.placement)
-    loads = list(assignment.loads)
-    caps = instance.capacities
-    c_max = instance.c_max
-    weights = instance.item_weights
-    placed = [j for j in range(instance.n) if placement[j] is not None]
+    placed = [j for j, i in enumerate(assignment.placement) if i is not None]
     if not placed:
         return assignment
-
-    phi0 = _potential(loads, caps, c_max)
-    guard = len(placed) ** 2 * instance.m * max(phi0, 1)
-    steps = 0
-
-    def max_overload() -> int:
-        return max(load - c for load, c in zip(loads, caps))
-
-    improved = True
-    while improved:
-        improved = False
-        cur_max = max_overload()
-        # jumps
-        for j in placed:
-            src = placement[j]
+    placement = list(assignment.placement)
+    weights = instance.item_weights
+    caps = instance.capacities
+    over = [load - c for load, c in zip(assignment.loads, caps)]
+    c_max = instance.c_max
+    max_moves = sum((o + c_max) ** 2 for o in over) // 2
+    moves = 0
+    while True:
+        lo, hi = min(over), max(over)
+        move = _first_jump(placed, placement, weights, over, lo, hi)
+        if move is None:
+            move = _first_swap(placed, placement, weights, over, lo, hi)
+            if move is None:
+                break
+        moves += 1
+        if moves > max_moves:
+            raise GmkpError("swap-optimal move bound exceeded")
+        for j, dst in move:
             w = weights[j]
-            for dst in range(instance.m):
-                steps += 1
-                if steps > guard:
-                    raise GmkpError("swap-optimal step guard exceeded")
-                if dst == src:
-                    continue
-                # potential delta of moving j from src to dst
-                a = loads[src] - caps[src] + c_max
-                b = loads[dst] - caps[dst] + c_max
-                delta = ((a - w) ** 2 - a**2) + ((b + w) ** 2 - b**2)
-                if delta >= 0:
-                    continue
-                new_dst_over = loads[dst] + w - caps[dst]
-                if new_dst_over > cur_max:
-                    continue
-                loads[src] -= w
-                loads[dst] += w
-                placement[j] = dst
-                improved = True
-                break
-            if improved:
-                break
-        if improved:
+            over[placement[j]] -= w
+            over[dst] += w
+            placement[j] = dst
+    return Assignment(tuple(placement), tuple(o + c for o, c in zip(over, caps)))
+
+
+def _first_jump(placed, placement, weights, over, lo, hi):
+    """The first improving jump as ``((j, dst),)``, or None."""
+    for j in placed:
+        w = weights[j]
+        o = over[placement[j]]
+        if 0 < w < o - lo or o - hi < w < 0:
+            dst = next(i for i, v in enumerate(over) if w * (o - v - w) > 0)
+            return ((j, dst),)
+    return None
+
+
+def _first_swap(placed, placement, weights, over, lo, hi):
+    """The first improving swap as ``((j1, i2), (j2, i1))``, or None."""
+    ws = [weights[j] for j in placed]
+    overs = [over[placement[j]] for j in placed]
+    n = len(placed)
+    for a in range(n):
+        w1, o1 = ws[a], overs[a]
+        if o1 - lo < 2 and hi - o1 < 2:
             continue
-        # swaps
-        for a_idx, j1 in enumerate(placed):
-            i1 = placement[j1]
-            w1 = weights[j1]
-            for j2 in placed[a_idx + 1 :]:
-                steps += 1
-                if steps > guard:
-                    raise GmkpError("swap-optimal step guard exceeded")
-                i2 = placement[j2]
-                if i1 == i2:
-                    continue
-                w2 = weights[j2]
-                diff = w2 - w1
-                a = loads[i1] - caps[i1] + c_max
-                b = loads[i2] - caps[i2] + c_max
-                delta = ((a + diff) ** 2 - a**2) + ((b - diff) ** 2 - b**2)
-                if delta >= 0:
-                    continue
-                if max(loads[i1] + diff - caps[i1], loads[i2] - diff - caps[i2]) > cur_max:
-                    continue
-                loads[i1] += diff
-                loads[i2] -= diff
-                placement[j1], placement[j2] = i2, i1
-                improved = True
-                break
-            if improved:
-                break
-    return Assignment(tuple(placement), tuple(loads))
+        for b in range(a + 1, n):
+            x = ws[b] - w1
+            if x * (overs[b] - o1 - x) > 0:
+                j1, j2 = placed[a], placed[b]
+                return ((j1, placement[j2]), (j2, placement[j1]))
+    return None

@@ -483,6 +483,7 @@ def solve_exact(problem: SelectionProblem, node_budget: Optional[int] = None) ->
         dfs(0, [0] * num_rows, 0)
     finally:
         sys.setrecursionlimit(old_limit)
+        del dfs  # the closure refers to itself; leave no cycle for the collector
 
     out = [False] * k
     for t, key in enumerate(keys):

@@ -222,7 +222,7 @@ def test_ac08_swap_optimal():
         inst = random_small_instance(rng)
         sel = Selection(tuple(rng.random() < 0.7 for _ in range(inst.k)))
         before = random_assignment(rng, inst, sel)
-        after = swap_optimal(inst, before)  # raises if the step guard trips
+        after = swap_optimal(inst, before)  # raises past the floor(phi0/2) move bound
         assert after.max_exceeded(inst) <= before.max_exceeded(inst)
         assert not improving_move_exists(inst, after)
 

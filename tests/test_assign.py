@@ -5,8 +5,9 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gmkp import gen, pipeline
 from gmkp.assign import greedy_assign, swap_optimal
-from gmkp.model import Assignment, Instance, Selection
+from gmkp.model import Assignment, GmkpError, Instance, Selection
 from conftest import random_small_instance
 
 
@@ -54,6 +55,86 @@ def improving_move_exists(instance, assignment):
             ) <= cur_max:
                 return True
     return False
+
+
+def reference_swap_optimal(instance, assignment):
+    """The scan-based swap-opt that ``swap_optimal`` replaced, kept as the
+    reference for the differential tests: a full (item, target) jump scan,
+    then a full pair scan with squared potential deltas and an explicit
+    max-overload check, restarting after every move."""
+    placement = list(assignment.placement)
+    loads = list(assignment.loads)
+    caps = instance.capacities
+    c_max = instance.c_max
+    weights = instance.item_weights
+    placed = [j for j in range(instance.n) if placement[j] is not None]
+    if not placed:
+        return assignment
+
+    phi0 = potential(instance, loads)
+    guard = len(placed) ** 2 * instance.m * max(phi0, 1)
+    steps = 0
+
+    def max_overload():
+        return max(load - c for load, c in zip(loads, caps))
+
+    improved = True
+    while improved:
+        improved = False
+        cur_max = max_overload()
+        for j in placed:
+            src = placement[j]
+            w = weights[j]
+            for dst in range(instance.m):
+                steps += 1
+                if steps > guard:
+                    raise GmkpError("swap-optimal step guard exceeded")
+                if dst == src:
+                    continue
+                a = loads[src] - caps[src] + c_max
+                b = loads[dst] - caps[dst] + c_max
+                delta = ((a - w) ** 2 - a**2) + ((b + w) ** 2 - b**2)
+                if delta >= 0:
+                    continue
+                new_dst_over = loads[dst] + w - caps[dst]
+                if new_dst_over > cur_max:
+                    continue
+                loads[src] -= w
+                loads[dst] += w
+                placement[j] = dst
+                improved = True
+                break
+            if improved:
+                break
+        if improved:
+            continue
+        for a_idx, j1 in enumerate(placed):
+            i1 = placement[j1]
+            w1 = weights[j1]
+            for j2 in placed[a_idx + 1 :]:
+                steps += 1
+                if steps > guard:
+                    raise GmkpError("swap-optimal step guard exceeded")
+                i2 = placement[j2]
+                if i1 == i2:
+                    continue
+                w2 = weights[j2]
+                diff = w2 - w1
+                a = loads[i1] - caps[i1] + c_max
+                b = loads[i2] - caps[i2] + c_max
+                delta = ((a + diff) ** 2 - a**2) + ((b - diff) ** 2 - b**2)
+                if delta >= 0:
+                    continue
+                if max(loads[i1] + diff - caps[i1], loads[i2] - diff - caps[i2]) > cur_max:
+                    continue
+                loads[i1] += diff
+                loads[i2] -= diff
+                placement[j1], placement[j2] = i2, i1
+                improved = True
+                break
+            if improved:
+                break
+    return Assignment(tuple(placement), tuple(loads))
 
 
 def random_assignment(rng, instance, selection):
@@ -153,6 +234,51 @@ class TestSwapOptimal:
             sel = Selection(tuple(rng.random() < 0.7 for _ in range(inst.k)))
             before = random_assignment(rng, inst, sel)
             assert swap_optimal(inst, before) == swap_optimal(inst, before)
+
+
+class TestSwapOptimalMatchesReference:
+    """Same moves in the same order as the scan-based reference."""
+
+    def test_random_starts(self):
+        rng = random.Random(27)
+        for _ in range(1000):
+            inst = random_small_instance(rng, max_m=6, max_n=30)
+            sel = Selection(tuple(rng.random() < 0.8 for _ in range(inst.k)))
+            before = random_assignment(rng, inst, sel)
+            assert swap_optimal(inst, before) == reference_swap_optimal(inst, before)
+
+    def test_piled_start(self):
+        rng = random.Random(28)
+        weights = [rng.randint(1, 40) for _ in range(60)]
+        inst = make([rng.randint(50, 120) for _ in range(8)], weights, [tuple(range(60))], [1])
+        piled = Assignment.build(inst, [0] * 60)
+        after = swap_optimal(inst, piled)
+        assert after == reference_swap_optimal(inst, piled)
+        assert not improving_move_exists(inst, after)
+
+    def test_zero_weight_item_never_moves(self):
+        # validate() rejects it, but Instance() accepts a zero weight
+        inst = make([10, 10, 10], [0, 7, 6, 5, 4, 3], [(0, 1, 2), (3, 4, 5)], [1, 1])
+        for start in ([0, 0, 0, 0, 0, 0], [1, 0, 0, 0, 2, 0], [2, 1, 1, 1, 1, 1]):
+            before = Assignment.build(inst, start)
+            after = swap_optimal(inst, before)
+            assert after == reference_swap_optimal(inst, before)
+            assert after.placement[0] == start[0]
+
+    def test_negative_weight_item(self):
+        # invalid too, but moved exactly as the reference moves it
+        inst = make([10, 10, 10], [-4, 7, 6, 5, 4, 3], [(0, 1, 2), (3, 4, 5)], [1, 1])
+        for start in ([0, 0, 0, 0, 0, 0], [1, 0, 0, 0, 2, 0], [2, 1, 1, 1, 1, 1]):
+            before = Assignment.build(inst, start)
+            assert swap_optimal(inst, before) == reference_swap_optimal(inst, before)
+
+    def test_generator_instances(self):
+        for idx, point in enumerate(gen.latin_hypercube(4, 5)):
+            unit = [0.25 * float(u) if d in (0, 4) else float(u) for d, u in enumerate(point)]
+            inst = gen.generate_instance(gen.materialize(unit, seed=idx))
+            for variant in ("lp", "kp", "2mkp", "3mkp", "mkpprime"):
+                before = pipeline.run_algorithm(inst, variant, swap_opt=False).assignment
+                assert swap_optimal(inst, before) == reference_swap_optimal(inst, before)
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -1,5 +1,6 @@
 """Selection subproblems: cut rows, canonical thresholds, exact solvers."""
 
+import gc
 import random
 from fractions import Fraction
 
@@ -244,6 +245,19 @@ class TestSolvers:
         for _ in range(20):
             prob = random_problem(rng)
             assert solve_exact(prob) == solve_exact(prob)
+
+    def test_branch_and_bound_leaves_no_cycles(self):
+        # rewards unrelated to weights: every solve takes branch-and-bound
+        rng = random.Random(20)
+        problems = [random_problem(rng, k_max=12) for _ in range(10)]
+        gc.collect()
+        gc.disable()
+        try:
+            for prob in problems:
+                solve_exact(prob)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_weight_dp_path_agrees_with_branch_and_bound(self):
         # same problem, rewards equal to row-0 coefficients (DP path)
