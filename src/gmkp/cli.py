@@ -138,10 +138,29 @@ def load_instance(path) -> Instance:
     return inst
 
 
+def json_text(doc, indent: str = "\n") -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)`` for a document with string keys.
+
+    The stdlib's indenting encoder is pure Python, and its nested closures
+    leave a reference cycle on every call.  Here only scalars and empty
+    containers go through ``json.dumps``, whose C encoder makes none.
+    """
+    if type(doc) is int:
+        return int.__repr__(doc)
+    inner = indent + "  "
+    if isinstance(doc, dict) and doc:
+        body = ("," + inner).join(
+            json.dumps(key) + ": " + json_text(value, inner) for key, value in sorted(doc.items())
+        )
+        return "{" + inner + body + indent + "}"
+    if isinstance(doc, (list, tuple)) and doc:
+        return "[" + inner + ("," + inner).join(json_text(v, inner) for v in doc) + indent + "]"
+    return json.dumps(doc)
+
+
 def dump_json(doc: dict, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(doc) + "\n")
 
 
 def result_to_json(result: pipeline.SolveResult, instance: Instance) -> dict:
@@ -230,8 +249,7 @@ def _emit(doc: dict, out: Optional[str]) -> None:
     if out:
         dump_json(doc, out)
     else:
-        json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-        print()
+        print(json_text(doc))
 
 
 def cmd_generate(args) -> int:

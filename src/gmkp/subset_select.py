@@ -290,13 +290,15 @@ def solve_exact(problem: SelectionProblem, node_budget: Optional[int] = None) ->
     Groups with identical reward and row coefficients are interchangeable;
     they collapse into one column type with a count, and the search
     branches on how many copies of each type to take (most-first), in
-    non-increasing reward / row-0-coefficient order.  Two node bounds are
-    combined: a Lagrangian bound with non-negative multipliers fitted once
-    at the root (valid for any multipliers, O(rows) per node), and the
-    minimum over rows of the fractional relaxation of that row alone.
-    Deterministic; raises ``BudgetExceededError`` when ``node_budget``
-    nodes are expanded without a proof of optimality (never returns a
-    silently suboptimal answer).
+    non-increasing reward / row-0-coefficient order.  A node is pruned when
+    the fractional relaxation of some row alone, computed in exact integers,
+    cannot beat the incumbent.  No float is computed.  The result is the
+    first optimal node in pre-order, which depends on the branch order only,
+    never on the bound.  When rewards equal the row-0 coefficients and the
+    cut-row state space is small, ``_greatest_weight_counts`` answers
+    instead.  Deterministic; raises ``BudgetExceededError`` when
+    ``node_budget`` nodes are expanded without a proof of optimality (never
+    returns a silently suboptimal answer).
     """
     k = problem.k
     if k == 0:
@@ -330,11 +332,7 @@ def solve_exact(problem: SelectionProblem, node_budget: Optional[int] = None) ->
             space *= rhs_list[r] + 1
         if 0 < space <= _WEIGHT_DP_LIMIT and all(r >= 0 for r in rhs_list):
             counts = _greatest_weight_counts(T, cnt, col, rhs_list)
-            out = [False] * k
-            for t, key in enumerate(keys):
-                for l in members[key][: counts[t]]:
-                    out[l] = True
-            return Selection(tuple(out))
+            return _taking(k, keys, members, counts)
 
     # Per-row orderings for the fractional bounds (zero-coefficient types
     # contribute their full reward for free).
@@ -385,108 +383,48 @@ def solve_exact(problem: SelectionProblem, node_budget: Optional[int] = None) ->
                 return False
         return True
 
-    # Greedy incumbent: take as many copies as fit, in branch order.
-    greedy_used = [0] * num_rows
-    greedy_value = 0
-    for t in range(T):
-        q = cnt[t]
-        for r in range(num_rows):
-            c = col[r][t]
-            if c:
-                q = min(q, (rhs_list[r] - greedy_used[r]) // c)
-        if q > 0:
-            for r in range(num_rows):
-                greedy_used[r] += q * col[r][t]
-            greedy_value += q * p_t[t]
-
-    # Root multipliers by projected subgradient on the Lagrangian dual.
-    lam = [0.0] * num_rows
-    best_lam = lam[:]
-    best_dual = float("inf")
-    theta = 2.0
-    for _ in range(150):
-        reduced = [
-            p_t[t] - sum(lam[r] * col[r][t] for r in range(num_rows)) for t in range(T)
-        ]
-        dual = sum(cnt[t] * reduced[t] for t in range(T) if reduced[t] > 0) + sum(
-            lam[r] * rhs_list[r] for r in range(num_rows)
-        )
-        if dual < best_dual:
-            best_dual = dual
-            best_lam = lam[:]
-        else:
-            theta *= 0.9
-        grad = [
-            rhs_list[r] - sum(cnt[t] * col[r][t] for t in range(T) if reduced[t] > 0)
-            for r in range(num_rows)
-        ]
-        norm = sum(g * g for g in grad)
-        if norm == 0 or dual <= greedy_value:
-            break
-        step = theta * max(dual - greedy_value, 1.0) / norm
-        lam = [max(0.0, lam[r] - step * grad[r]) for r in range(num_rows)]
-
-    # Fixed-point multipliers keep the per-node bound in exact integers.
-    SCALE = 1 << 20
-    lam_int = [max(0, int(x * SCALE)) for x in best_lam]
-    reduced_scaled = [
-        SCALE * p_t[t] - sum(lam_int[r] * col[r][t] for r in range(num_rows))
-        for t in range(T)
-    ]
-    lag_suffix = [0] * (T + 1)
-    for t in range(T - 1, -1, -1):
-        lag_suffix[t] = lag_suffix[t + 1] + cnt[t] * max(0, reduced_scaled[t])
-
+    # Depth-first search in pre-order: an entry is a node with ``q`` copies
+    # of type ``pos - 1``, and siblings are pushed fewest-copies-first so
+    # the most copies pop first.  ``counts[:pos]`` is the path to the node,
+    # and ``counts[pos:]`` is zero: each finished sibling group ends with
+    # its zero-copies node.
     best_value = -1
     best_counts: list[int] = [0] * T
     counts = [0] * T
     nodes = 0
-
-    def dfs(pos: int, used: list[int], value: int):
-        nonlocal best_value, best_counts, nodes
+    stack = [(0, 0, [0] * num_rows, 0)]
+    while stack:
+        pos, q, used, value = stack.pop()
+        if pos:
+            counts[pos - 1] = q
         nodes += 1
         if node_budget is not None and nodes > node_budget:
             raise BudgetExceededError(f"node budget {node_budget} exceeded")
         if value > best_value:
             best_value = value
             best_counts = counts.copy()
-        if pos == T:
-            return
-        lag_bound = (
-            SCALE * value
-            + lag_suffix[pos]
-            + sum(lam_int[r] * (rhs_list[r] - used[r]) for r in range(num_rows))
-        )
-        if lag_bound <= SCALE * best_value:
-            return
-        if not can_improve(pos, used, value, best_value):
-            return
+        if pos == T or not can_improve(pos, used, value, best_value):
+            continue
         q_max = cnt[pos]
         for r in range(num_rows):
             c = col[r][pos]
             if c:
                 q_max = min(q_max, (rhs_list[r] - used[r]) // c)
-        for q in range(q_max, -1, -1):
-            counts[pos] = q
-            dfs(
+        for q in range(q_max + 1):
+            stack.append((
                 pos + 1,
+                q,
                 [used[r] + q * col[r][pos] for r in range(num_rows)],
                 value + q * p_t[pos],
-            )
-        counts[pos] = 0
+            ))
 
-    import sys
+    return _taking(k, keys, members, best_counts)
 
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 2 * T + 100))
-    try:
-        dfs(0, [0] * num_rows, 0)
-    finally:
-        sys.setrecursionlimit(old_limit)
-        del dfs  # the closure refers to itself; leave no cycle for the collector
 
+def _taking(k: int, keys: list, members: dict, counts: list[int]) -> Selection:
+    """The selection of the first ``counts[t]`` groups of each type ``keys[t]``."""
     out = [False] * k
-    for t, key in enumerate(keys):
-        for l in members[key][: best_counts[t]]:
+    for key, q in zip(keys, counts):
+        for l in members[key][:q]:
             out[l] = True
     return Selection(tuple(out))

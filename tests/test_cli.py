@@ -1,8 +1,10 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
 import csv
+import gc
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -15,8 +17,10 @@ from gmkp.cli import (
     EXIT_INPUT,
     EXIT_OK,
     canonical_item_order,
+    dump_json,
     instance_from_json,
     instance_to_json,
+    json_text,
     main,
 )
 from gmkp.model import Instance
@@ -77,6 +81,32 @@ class TestSerialization:
         )
         assert text == again
 
+    def test_json_text_equals_stdlib_indented_dump(self, sample, tmp_path):
+        rng = random.Random(22)
+        scalars = [0, -7, 10**30, 1.5, -0.0, float("nan"), float("inf"), float("-inf"),
+                   1e-300, True, False, None, "", "x", "\u00e9\u2603\n\"\\"]
+
+        def draw(depth):
+            pick = rng.random()
+            if depth > 3 or pick < 0.5:
+                return rng.choice(scalars + [rng.randint(-999, 999), rng.random()])
+            if pick < 0.7:
+                return [draw(depth + 1) for _ in range(rng.randint(0, 4))]
+            if pick < 0.8:
+                return tuple(draw(depth + 1) for _ in range(rng.randint(0, 3)))
+            keys = ["a", "b", "", "\u00e9", "\u2603", "k1", "K", "z\n"]
+            return {rng.choice(keys): draw(depth + 1) for _ in range(rng.randint(0, 4))}
+
+        inst, path = sample
+        out = tmp_path / "r.json"
+        assert main(["solve", str(path), "--algo", "2mkp", "--out", str(out)]) == EXIT_OK
+        docs = [instance_to_json(inst), json.loads(out.read_text())]
+        docs += [draw(0) for _ in range(2000)]
+        for doc in docs:
+            assert json_text(doc) == json.dumps(doc, indent=2, sort_keys=True), doc
+        dump_json(docs[0], out)
+        assert out.read_text() == json.dumps(docs[0], indent=2, sort_keys=True) + "\n"
+
     def test_bad_schema_rejected(self):
         with pytest.raises(Exception):
             instance_from_json({"schema": "gmkp/99", "capacities": [], "groups": []})
@@ -136,6 +166,20 @@ class TestSolve:
         for l, pos, i in doc["assignment"]:
             assert l in doc["selection"]
             assert 0 <= pos < len(inst.groups[l]) and 0 <= i < inst.m
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_solve_leaves_no_reference_cycles(self, noisy, tmp_path, capsys, to_file):
+        # branch-and-bound selection, then the result written as JSON
+        argv = ["solve", str(noisy), "--algo", "2mkp", "--swap-opt"]
+        if to_file:
+            argv += ["--out", str(tmp_path / "r.json")]
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv) == EXIT_OK
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         code = main(["solve", str(tmp_path / "nope.json")])

@@ -2,6 +2,7 @@
 
 import gc
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmkp import gen
-from gmkp.model import BudgetExceededError, Instance
+from gmkp.model import BudgetExceededError, Instance, Selection
 from gmkp.oracle import enumerate_feasible_z, solve_dp_single_row
 from gmkp.subset_select import (
+    _WEIGHT_DP_LIMIT,
     SelectionProblem,
     _greatest_weight_counts,
     build_problem,
@@ -382,3 +384,298 @@ class TestWeightDpEncoding:
             for budget in (inst.total_capacity, 3 * inst.total_capacity // 4):
                 args = dp_arguments(build_problem(inst, variant, total_capacity=budget))
                 assert _greatest_weight_counts(*args) == tuple_state_weight_counts(*args)
+
+
+def reference_solve_exact(problem: SelectionProblem, node_budget=None) -> Selection:
+    """Branch and bound as ``solve_exact`` did it with a second bound.
+
+    A recursive search, and a Lagrangian bound with multipliers fitted by
+    a float subgradient at the root on top of the per-row fractional bound.
+    Same column types and branch order, so the same pre-order.
+    """
+    k = problem.k
+    if k == 0:
+        return Selection(())
+    rewards = problem.group_rewards
+    num_rows = len(problem.rows)
+    rhs_list = [rhs for _, rhs in problem.rows]
+
+    # Collapse duplicate columns; remember the original indices of each.
+    members: dict[tuple[int, ...], list[int]] = {}
+    for l in range(k):
+        key = (rewards[l],) + tuple(coeffs[l] for coeffs, _ in problem.rows)
+        members.setdefault(key, []).append(l)
+    keys = sorted(
+        members,
+        key=lambda key: (
+            ((0, -key[0]) if key[1] == 0 else (1, -Fraction(key[0], key[1]))),
+            members[key][0],
+        ),
+    )
+    T = len(keys)
+    p_t = [key[0] for key in keys]
+    cnt = [len(members[key]) for key in keys]
+    col = [[key[1 + r] for key in keys] for r in range(num_rows)]
+
+    # Weight-objective problems (reward == aggregate coefficient) admit an
+    # exact polynomial dynamic program when the cut-row state space is small.
+    if all(p_t[t] == col[0][t] for t in range(T)) and rhs_list[0] >= 0:
+        space = rhs_list[0] + 1
+        for r in range(1, num_rows):
+            space *= rhs_list[r] + 1
+        if 0 < space <= _WEIGHT_DP_LIMIT and all(r >= 0 for r in rhs_list):
+            counts = _greatest_weight_counts(T, cnt, col, rhs_list)
+            out = [False] * k
+            for t, key in enumerate(keys):
+                for l in members[key][: counts[t]]:
+                    out[l] = True
+            return Selection(tuple(out))
+
+    # Per-row orderings for the fractional bounds (zero-coefficient types
+    # contribute their full reward for free).
+    bound_rows = []
+    for r in range(num_rows):
+        coeffs = col[r]
+        ratio_order = sorted(
+            range(T),
+            key=lambda t: ((0, 0) if coeffs[t] == 0 else (1, -Fraction(p_t[t], coeffs[t]))),
+        )
+        bound_rows.append((coeffs, rhs_list[r], ratio_order))
+
+    def can_improve(pos: int, used: list[int], value: int, best: int) -> bool:
+        """True iff every row's fractional bound strictly exceeds ``best``.
+
+        Integer arithmetic only; each row scan stops as soon as its running
+        total passes ``best`` (no prune possible from that row) or hits the
+        fractional break type (exact cross-multiplied comparison).
+        """
+        for r, (coeffs, rhs, ratio_order) in enumerate(bound_rows):
+            remaining = rhs - used[r]
+            acc = value
+            exceeded = acc > best
+            if not exceeded:
+                for t in ratio_order:
+                    if t < pos:
+                        continue
+                    c = coeffs[t]
+                    q = cnt[t]
+                    if c == 0:
+                        acc += p_t[t] * q
+                    elif c * q <= remaining:
+                        acc += p_t[t] * q
+                        remaining -= c * q
+                    else:
+                        fit = remaining // c
+                        acc += p_t[t] * fit
+                        remaining -= fit * c
+                        # bound = acc + p * remaining / c, compared exactly
+                        exceeded = acc * c + p_t[t] * remaining > best * c
+                        break
+                    if acc > best:
+                        exceeded = True
+                        break
+                else:
+                    exceeded = acc > best
+            if not exceeded:
+                return False
+        return True
+
+    # Greedy incumbent: take as many copies as fit, in branch order.
+    greedy_used = [0] * num_rows
+    greedy_value = 0
+    for t in range(T):
+        q = cnt[t]
+        for r in range(num_rows):
+            c = col[r][t]
+            if c:
+                q = min(q, (rhs_list[r] - greedy_used[r]) // c)
+        if q > 0:
+            for r in range(num_rows):
+                greedy_used[r] += q * col[r][t]
+            greedy_value += q * p_t[t]
+
+    # Root multipliers by projected subgradient on the Lagrangian dual.
+    lam = [0.0] * num_rows
+    best_lam = lam[:]
+    best_dual = float("inf")
+    theta = 2.0
+    for _ in range(150):
+        reduced = [
+            p_t[t] - sum(lam[r] * col[r][t] for r in range(num_rows)) for t in range(T)
+        ]
+        dual = sum(cnt[t] * reduced[t] for t in range(T) if reduced[t] > 0) + sum(
+            lam[r] * rhs_list[r] for r in range(num_rows)
+        )
+        if dual < best_dual:
+            best_dual = dual
+            best_lam = lam[:]
+        else:
+            theta *= 0.9
+        grad = [
+            rhs_list[r] - sum(cnt[t] * col[r][t] for t in range(T) if reduced[t] > 0)
+            for r in range(num_rows)
+        ]
+        norm = sum(g * g for g in grad)
+        if norm == 0 or dual <= greedy_value:
+            break
+        step = theta * max(dual - greedy_value, 1.0) / norm
+        lam = [max(0.0, lam[r] - step * grad[r]) for r in range(num_rows)]
+
+    # Fixed-point multipliers keep the per-node bound in exact integers.
+    SCALE = 1 << 20
+    lam_int = [max(0, int(x * SCALE)) for x in best_lam]
+    reduced_scaled = [
+        SCALE * p_t[t] - sum(lam_int[r] * col[r][t] for r in range(num_rows))
+        for t in range(T)
+    ]
+    lag_suffix = [0] * (T + 1)
+    for t in range(T - 1, -1, -1):
+        lag_suffix[t] = lag_suffix[t + 1] + cnt[t] * max(0, reduced_scaled[t])
+
+    best_value = -1
+    best_counts: list[int] = [0] * T
+    counts = [0] * T
+    nodes = 0
+
+    def dfs(pos: int, used: list[int], value: int):
+        nonlocal best_value, best_counts, nodes
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            raise BudgetExceededError(f"node budget {node_budget} exceeded")
+        if value > best_value:
+            best_value = value
+            best_counts = counts.copy()
+        if pos == T:
+            return
+        lag_bound = (
+            SCALE * value
+            + lag_suffix[pos]
+            + sum(lam_int[r] * (rhs_list[r] - used[r]) for r in range(num_rows))
+        )
+        if lag_bound <= SCALE * best_value:
+            return
+        if not can_improve(pos, used, value, best_value):
+            return
+        q_max = cnt[pos]
+        for r in range(num_rows):
+            c = col[r][pos]
+            if c:
+                q_max = min(q_max, (rhs_list[r] - used[r]) // c)
+        for q in range(q_max, -1, -1):
+            counts[pos] = q
+            dfs(
+                pos + 1,
+                [used[r] + q * col[r][pos] for r in range(num_rows)],
+                value + q * p_t[pos],
+            )
+        counts[pos] = 0
+
+    import sys
+
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit, 2 * T + 100))
+    try:
+        dfs(0, [0] * num_rows, 0)
+    finally:
+        sys.setrecursionlimit(old_limit)
+        del dfs  # the closure refers to itself; leave no cycle for the collector
+
+    out = [False] * k
+    for t, key in enumerate(keys):
+        for l in members[key][: best_counts[t]]:
+            out[l] = True
+    return Selection(tuple(out))
+
+
+def unbounded_preorder_search(problem: SelectionProblem) -> Selection:
+    """The first optimal node of ``solve_exact``'s search tree, found with no bound.
+
+    Same column types, branch order and most-copies-first children; every
+    feasible node is visited, and the first node with a strictly larger
+    value becomes the incumbent.
+    """
+    members: dict[tuple[int, ...], list[int]] = {}
+    for l in range(problem.k):
+        key = (problem.group_rewards[l],) + tuple(coeffs[l] for coeffs, _ in problem.rows)
+        members.setdefault(key, []).append(l)
+    keys = sorted(
+        members,
+        key=lambda key: (
+            (0, -key[0]) if key[1] == 0 else (1, -Fraction(key[0], key[1])),
+            members[key][0],
+        ),
+    )
+    rhs = [rhs for _, rhs in problem.rows]
+    best: list = [-1, None]
+
+    def visit(counts, used, value):
+        if value > best[0]:
+            best[:] = [value, counts + [0] * (len(keys) - len(counts))]
+        if len(counts) == len(keys):
+            return
+        key = keys[len(counts)]
+        for q in range(len(members[key]), -1, -1):
+            child = [u + q * c for u, c in zip(used, key[1:])]
+            if all(u <= b for u, b in zip(child, rhs)):
+                visit(counts + [q], child, value + q * key[0])
+
+    visit([], [0] * len(rhs), 0)
+    chosen = [False] * problem.k
+    for key, q in zip(keys, best[1]):
+        for l in members[key][:q]:
+            chosen[l] = True
+    return Selection(tuple(chosen))
+
+
+def random_preorder_problem(rng) -> SelectionProblem:
+    """1-4 rows, duplicate columns, zero coefficients, rewards unrelated to weights."""
+    k = rng.randint(1, 11)
+    base = [
+        (rng.randint(1, 30), [rng.randint(0, 12)] + [rng.randint(0, 4) for _ in range(3)])
+        for _ in range(rng.randint(1, k))
+    ]
+    columns = [rng.choice(base) for _ in range(k)]
+    num_rows = rng.randint(1, 4)
+    rows = [(tuple(c[r] for _, c in columns), rng.randint(0, 50 if r == 0 else 10))
+            for r in range(num_rows)]
+    rewards = tuple(p for p, _ in columns)
+    return SelectionProblem(rewards, tuple(rows), ("aggregate",) * num_rows)
+
+
+class TestPreorderFact:
+    """Branch and bound returns the first optimal node in pre-order, whatever its bounds.
+
+    Node counts are not compared: the reference's Lagrangian bound may prune
+    nodes that the fractional row bound alone visits.
+    """
+
+    def test_random_problems(self):
+        rng = random.Random(21)
+        for _ in range(600):
+            prob = random_preorder_problem(rng)
+            expected = unbounded_preorder_search(prob)
+            assert reference_solve_exact(prob) == expected, prob
+            assert solve_exact(prob) == expected, prob
+
+    @pytest.mark.parametrize("variant", ["kp", "2mkp", "3mkp", "mkpprime"])
+    def test_generator_instances(self, variant):
+        for idx, point in enumerate(gen.latin_hypercube(6, 3)):
+            unit = [0.12 * float(u) if d in (0, 4) else float(u) for d, u in enumerate(point)]
+            base = gen.generate_instance(gen.materialize(unit, seed=idx))
+            for tag in ("R0", "R1", "R3"):
+                inst = gen.apply_reward_scheme(base, gen.RewardScheme(tag, seed=idx))
+                prob = build_problem(inst, variant)
+                assert solve_exact(prob) == reference_solve_exact(prob)
+
+
+def test_solve_exact_leaves_interpreter_state_alone(monkeypatch):
+    # one row, rewards unrelated to weights, more distinct column types than
+    # the recursion limit, all fitting: the search goes one level per type
+    def refuse(limit):
+        raise AssertionError("solve_exact changed the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    weights = tuple(range(1, sys.getrecursionlimit() + 100))
+    rewards = tuple(2 * w + w % 3 for w in weights)
+    prob = SelectionProblem(rewards, ((weights, sum(weights)),), ("aggregate",))
+    assert all(solve_exact(prob).chosen)
