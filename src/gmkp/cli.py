@@ -227,6 +227,8 @@ def run_named_algo(
     node_budget: Optional[int] = None,
 ) -> pipeline.SolveResult:
     variant, d_set = resolve_algo(instance, algo, d_set_text)
+    if total_capacity is not None and total_capacity < 0:
+        raise CliInputError(f"--total-capacity must be non-negative, got {total_capacity}")
     if variant == "best":
         if total_capacity is not None:
             raise CliInputError("--total-capacity does not go with --algo best")

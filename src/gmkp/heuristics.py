@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from . import pipeline
-from .model import Assignment, GmkpError, Instance, Selection, metrics
+from .model import Assignment, BudgetExceededError, Instance, Selection, metrics
 from .pipeline import SolveResult
 
 DEFAULT_SWEEP_FACTORS = tuple(Fraction(75 + 5 * t, 100) for t in range(11))  # 0.75 .. 1.25
@@ -92,7 +92,11 @@ def capacity_sweep(
     d_set: Optional[Iterable[Fraction]] = None,
     node_budget: Optional[int] = None,
 ) -> list[SweepEntry]:
-    """One pipeline run per capacity factor; failures stay per-factor."""
+    """One pipeline run per capacity factor.
+
+    A factor whose run exhausts ``node_budget`` becomes an error entry; any
+    other error, an internal invariant violation among them, propagates.
+    """
     factors = [Fraction(f) for f in factors]
     if any(f <= 0 for f in factors):
         raise ValueError("factors must be positive")
@@ -110,7 +114,7 @@ def capacity_sweep(
                 node_budget=node_budget,
             )
             out.append(SweepEntry(factor=f, result=res))
-        except GmkpError as exc:
+        except BudgetExceededError as exc:
             out.append(SweepEntry(factor=f, result=None, error=str(exc)))
     return out
 

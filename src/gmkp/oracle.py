@@ -44,13 +44,17 @@ def feasible_packing(
     residuals give symmetric subtrees).  Raises ``BudgetExceededError``
     rather than returning an unproven answer.
     """
+    return _packing(instance, selection, _Budget(node_budget))
+
+
+def _packing(instance: Instance, selection: Selection, budget: _Budget) -> Optional[Assignment]:
+    """``feasible_packing`` with each search node ticked on ``budget``."""
     items = sorted(
         (j for l in selection.indices() for j in instance.groups[l]),
         key=lambda j: (-instance.item_weights[j], j),
     )
     if not items:
         return Assignment.empty(instance)
-    budget = _Budget(node_budget)
     residual = list(instance.capacities)
     placement: list = [None] * instance.n
     weights = instance.item_weights
@@ -93,7 +97,9 @@ def exact_gmkp(
 
     Branches over group subsets in decreasing-reward order with a
     remaining-reward bound and an aggregate-capacity prune; leaves are
-    certified with :func:`feasible_packing`.
+    certified with :func:`feasible_packing`.  ``node_budget`` bounds the
+    whole search: subset nodes and the packing nodes of every leaf count
+    against one budget.
     """
     k = instance.k
     order = sorted(range(k), key=lambda l: (-instance.rewards[l], l))
@@ -104,6 +110,7 @@ def exact_gmkp(
     for t in range(k - 1, -1, -1):
         suffix_reward[t] = suffix_reward[t + 1] + rewards[t]
 
+    budget = _Budget(node_budget)
     best_value = -1
     best_selection = Selection.empty(k)
     best_assignment = Assignment.empty(instance)
@@ -111,11 +118,12 @@ def exact_gmkp(
 
     def dfs(t: int, weight: int, value: int):
         nonlocal best_value, best_selection, best_assignment
+        budget.tick()
         if value + suffix_reward[t] <= best_value:
             return
         if t == k:
             sel = Selection.from_indices(chosen, k)
-            packed = feasible_packing(instance, sel, node_budget=node_budget)
+            packed = _packing(instance, sel, budget)
             if packed is not None and value > best_value:
                 best_value = value
                 best_selection = sel

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import Iterable, Optional, Sequence
 
 from .model import BudgetExceededError, Instance, Selection
@@ -71,6 +71,8 @@ def canonical_D(instance: Instance) -> set[Fraction]:
     each residue class.  Keeping those representatives therefore preserves
     the feasible set of the all-thresholds problem.
     """
+    if not instance.item_weights:
+        return set()
     w_max = instance.w_max
     divisors: set[int] = set()
     for c in set(instance.capacities):
@@ -180,9 +182,7 @@ def _greatest_weight_counts(
 
     Dynamic program over cut-row usage states; each state holds a bitset of
     achievable row-0 totals (bit ``u`` set iff total ``u`` is reachable).
-    Polynomial in the state space times the row-0 right-hand side.  Forward
-    tables are snapshotted every few types so reconstruction reruns only
-    short segments.
+    Polynomial in the state space times the row-0 right-hand side.
 
     A state is keyed by one int.  Cut row ``r >= 1`` owns a field of
     ``k_r + 1`` bits, ``k_r = rhs_r.bit_length()``, holding
@@ -193,25 +193,26 @@ def _greatest_weight_counts(
     ``2**(k_r + 1)``: no carry crosses a field, one add of the type's shifted
     coefficients is a copy, and one mask test finds every overflow.  Int
     order on keys is tuple order on usages, so ties break as on tuples.
-    """
-    rhs0 = rhs_list[0]
-    mask = (1 << (rhs0 + 1)) - 1
-    cut_rhs = rhs_list[1:]
 
-    # Field layout, row 1 in the top bits.
-    pos = [0] * len(cut_rhs)
+    The backtrack reruns one ``stride``-type segment at a time from its kept
+    table, on keys.  At type ``u`` it caps ``q`` at ``cnt[u]``, ``u0 // c0``
+    and each decoded ``usage_r // c_r`` with ``c_r > 0``.  A larger ``q``
+    drives some total negative; up to the cap each field keeps
+    ``usage_r - q * c_r >= 0``, so no field borrows and ``key - q * delta[u]``
+    is the predecessor's key.  A type that does not fit gets cap 0.
+    """
+    mask = (1 << (rhs_list[0] + 1)) - 1
+    # (shift, field mask, coefficients) per cut row, row 1 in the top bits.
+    fields = []
     base_key = over = width = 0
-    for r in range(len(cut_rhs) - 1, -1, -1):
-        k = cut_rhs[r].bit_length()
-        pos[r] = width
-        base_key |= ((1 << k) - 1 - cut_rhs[r]) << width
+    for coeffs, rhs in zip(reversed(col[1:]), reversed(rhs_list[1:])):
+        k = rhs.bit_length()
+        fields.append((width, (1 << (k + 1)) - 1, coeffs))
+        base_key |= ((1 << k) - 1 - rhs) << width
         over |= 1 << (width + k)
         width += k + 1
     fits = [all(c[t] <= rhs for c, rhs in zip(col, rhs_list)) for t in range(T)]
-    delta = [sum(c[t] << p for c, p in zip(col[1:], pos)) for t in range(T)]
-
-    def key(usage) -> int:
-        return base_key + sum(u << p for u, p in zip(usage, pos))
+    delta = [sum(c[t] << p for p, _, c in fields) for t in range(T)]
 
     def apply_type(table: dict, t: int) -> dict:
         if not fits[t]:
@@ -224,59 +225,46 @@ def _greatest_weight_counts(
                 ns = s + d
                 if ns & over:
                     continue
-                shifted = (bits << c0) & mask
-                if shifted:
-                    prev = new_table.get(ns, 0)
-                    merged = prev | shifted
-                    if merged != prev:
-                        new_table[ns] = merged
-                        changed = True
+                prev = new_table.get(ns, 0)
+                merged = prev | (bits << c0) & mask
+                if merged != prev:
+                    new_table[ns] = merged
+                    changed = True
             if not changed:
                 break
             table = new_table
         return table
 
     stride = max(1, -(-T // 16))
-    snapshots = {0: {base_key: 1}}
-    table = snapshots[0]
+    snapshots = []  # the table before types 0, stride, 2 * stride, ...
+    table = {base_key: 1}
     for t in range(T):
+        if t % stride == 0:
+            snapshots.append(table)
         table = apply_type(table, t)
-        if (t + 1) % stride == 0 or t + 1 == T:
-            snapshots[t + 1] = table
 
-    final = snapshots[T]
-    best_u0 = max(bits.bit_length() - 1 for bits in final.values())
-    best_key = min(s for s, bits in final.items() if (bits >> best_u0) & 1) - base_key
-    state = tuple((best_key >> p) & ((1 << (rhs.bit_length() + 1)) - 1)
-                  for p, rhs in zip(pos, cut_rhs))
-    u0 = best_u0
+    u0 = max(bits.bit_length() - 1 for bits in table.values())
+    key = min(s for s, bits in table.items() if (bits >> u0) & 1)
 
     counts_out = [0] * T
-    t = T - 1
-    while t >= 0:
-        base = max(b for b in snapshots if b <= t)
-        seg = {base: snapshots[base]}
-        tbl = snapshots[base]
-        for u in range(base, t):
-            tbl = apply_type(tbl, u)
-            seg[u + 1] = tbl
-        for u in range(t, base - 1, -1):
-            before = seg[u]
-            c0 = col[0][u]
-            cut = [c[u] for c in col[1:]]
-            for q in range(cnt[u], -1, -1):
-                ps = tuple(a - q * b for a, b in zip(state, cut))
-                pu = u0 - q * c0
-                if pu < 0 or any(a < 0 for a in ps):
-                    continue
-                bits = before.get(key(ps))
-                if bits is not None and (bits >> pu) & 1:
-                    counts_out[u] = q
-                    state, u0 = ps, pu
+    for base in reversed(range(0, T, stride)):
+        seg = [snapshots[base // stride]]
+        for u in range(base, min(base + stride, T) - 1):
+            seg.append(apply_type(seg[-1], u))
+        for u, before in reversed(list(enumerate(seg, base))):
+            c0, d, rel = col[0][u], delta[u], key - base_key
+            q = min(cnt[u], u0 // c0) if c0 else cnt[u]
+            for shift, fmask, coeffs in fields:
+                if coeffs[u]:
+                    q = min(q, ((rel >> shift) & fmask) // coeffs[u])
+            for q in range(q, -1, -1):
+                if (before.get(key - q * d, 0) >> (u0 - q * c0)) & 1:
                     break
             else:
                 raise AssertionError("weight-fill backtrack lost the target state")
-        t = base - 1
+            counts_out[u] = q
+            key -= q * d
+            u0 -= q * c0
     return counts_out
 
 
@@ -301,8 +289,6 @@ def solve_exact(problem: SelectionProblem, node_budget: Optional[int] = None) ->
     returns a silently suboptimal answer).
     """
     k = problem.k
-    if k == 0:
-        return Selection(())
     rewards = problem.group_rewards
     num_rows = len(problem.rows)
     rhs_list = [rhs for _, rhs in problem.rows]
@@ -324,15 +310,9 @@ def solve_exact(problem: SelectionProblem, node_budget: Optional[int] = None) ->
     cnt = [len(members[key]) for key in keys]
     col = [[key[1 + r] for key in keys] for r in range(num_rows)]
 
-    # Weight-objective problems (reward == aggregate coefficient) admit an
-    # exact polynomial dynamic program when the cut-row state space is small.
-    if all(p_t[t] == col[0][t] for t in range(T)) and rhs_list[0] >= 0:
-        space = rhs_list[0] + 1
-        for r in range(1, num_rows):
-            space *= rhs_list[r] + 1
-        if 0 < space <= _WEIGHT_DP_LIMIT and all(r >= 0 for r in rhs_list):
-            counts = _greatest_weight_counts(T, cnt, col, rhs_list)
-            return _taking(k, keys, members, counts)
+    # Rewards equal to row-0 coefficients and a small state space: the weight DP.
+    if p_t == col[0] and min(rhs_list) >= 0 and prod(r + 1 for r in rhs_list) <= _WEIGHT_DP_LIMIT:
+        return _taking(k, keys, members, _greatest_weight_counts(T, cnt, col, rhs_list))
 
     # Per-row orderings for the fractional bounds (zero-coefficient types
     # contribute their full reward for free).

@@ -12,9 +12,11 @@ from pathlib import Path
 import pytest
 
 import gmkp
+from gmkp import assign, gen
 from gmkp.cli import (
     EXIT_BUDGET,
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_OK,
     canonical_item_order,
     dump_json,
@@ -23,7 +25,7 @@ from gmkp.cli import (
     json_text,
     main,
 )
-from gmkp.model import Instance
+from gmkp.model import InconsistentSolutionError, Instance
 
 
 def make(caps, weights, groups, rewards):
@@ -36,6 +38,14 @@ def write_instance(path, instance):
 
 def write_doc(path, groups):
     path.write_text(json.dumps({"schema": "gmkp/1", "capacities": [10, 10], "groups": groups}))
+
+
+def run_cli(*argv, timeout=None):
+    """``python -m gmkp.cli argv`` in a child process, importing this checkout's gmkp."""
+    src = str(Path(gmkp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "gmkp.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 @pytest.fixture
@@ -223,6 +233,18 @@ class TestSolve:
         )
         assert code == EXIT_OK
 
+    def test_d_set_canonical_without_groups(self, tmp_path):
+        # no items, so no thresholds: mkpd has no cut rows and answers as kp
+        path = tmp_path / "empty.json"
+        write_doc(path, [])
+        docs = []
+        for algo in (["kp"], ["mkpd", "--d-set", "canonical"]):
+            out = tmp_path / f"{algo[0]}.json"
+            assert main(["solve", str(path), "--algo", *algo, "--out", str(out)]) == EXIT_OK
+            doc = json.loads(out.read_text())
+            docs.append({key: doc[key] for key in ("selection", "assignment", "loads", "reward")})
+        assert docs[0] == docs[1]
+
     def test_hundred_mkp_alias(self, sample, tmp_path):
         _, path = sample
         out = tmp_path / "r.json"
@@ -271,6 +293,14 @@ class TestSweep:
         rows = list(csv.DictReader(out.open()))
         assert [r["factor"] for r in rows] == ["1/2", "1"]
 
+    def test_internal_error_exits_4(self, sample, tmp_path, monkeypatch, capsys):
+        def planted(instance, assignment):
+            raise InconsistentSolutionError("planted")
+
+        monkeypatch.setattr(assign, "swap_optimal", planted)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(sample[1]), "--out", str(out)]) == EXIT_INTERNAL
+
 
 class TestExact:
     def test_exact_optimum(self, sample, tmp_path):
@@ -293,6 +323,17 @@ class TestExact:
         path = tmp_path / "hard.json"
         write_instance(path, inst)
         assert main(["exact", str(path), "--node-budget", "2"]) == EXIT_BUDGET
+
+    def test_budget_bounds_the_subset_search(self, tmp_path):
+        # seed-7 instance 14 (k = 80): without one budget for the whole
+        # search, tens of thousands of packings each fit in 1000 nodes
+        idx = 14
+        point = gen.latin_hypercube(20, 7)[idx]
+        inst = gen.generate_instance(gen.materialize(point, seed=7 * 1_000_003 + idx))
+        path = tmp_path / "inst.json"
+        write_instance(path, canonical_item_order(inst))
+        proc = run_cli("exact", path, "--node-budget", "1000", timeout=60)
+        assert proc.returncode == EXIT_BUDGET, proc.stderr
 
 
 class TestBench:
@@ -348,12 +389,15 @@ class TestBench:
         ["solve", "{inst}", "--algo", "kp", "--d-set", "5"],
         ["solve", "{inst}", "--algo", "mkpd", "--d-set", "0,5"],
         ["solve", "{inst}", "--algo", "best", "--total-capacity", "5"],
+        ["solve", "{inst}", "--algo", "lp", "--total-capacity", "-5"],
+        ["solve", "{inst}", "--algo", "kp", "--total-capacity", "-5"],
         ["generate", "--count", "0", "--out-dir", "{gen}"],
         ["generate", "--count", "-1", "--out-dir", "{gen}"],
         ["generate", "--capacity", "0", "--out-dir", "{gen}"],
     ],
     ids=["factor-text", "factor-zero", "no-groups", "text-weight", "feasible-mkpd",
          "sweep-mkpd", "sweep-best", "kp-d-set", "zero-threshold", "best-total-capacity",
+         "lp-negative-capacity", "kp-negative-capacity",
          "count-zero", "count-negative", "capacity-zero"],
 )
 def test_input_error_exits_2_without_traceback(argv, sample, tmp_path):
@@ -362,12 +406,7 @@ def test_input_error_exits_2_without_traceback(argv, sample, tmp_path):
     write_doc(text_weight, [{"reward": 5, "items": ["a"]}])
     names = {"inst": sample[1], "out": tmp_path / "o.csv", "no_groups": no_groups,
              "text_weight": text_weight, "gen": tmp_path / "gen"}
-    src = str(Path(gmkp.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "gmkp.cli", *(a.format(**names) for a in argv)],
-        capture_output=True, text=True, env=env,
-    )
+    proc = run_cli(*(a.format(**names) for a in argv))
     assert proc.returncode == EXIT_INPUT, proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "gen").exists()

@@ -79,6 +79,27 @@ class TestExactGmkp:
         v_star, sel, asg = exact_gmkp(inst)
         assert v_star == 0 and sel.indices() == () and asg.loads == (0, 0)
 
+    def test_one_budget_for_the_whole_search(self):
+        # a budget that each leaf's packing fits on its own still bounds
+        # the subset nodes and the packings together
+        inst = random_small_instance(random.Random(44), max_m=3, max_k=5, max_n=8)
+
+        def packing_nodes(sel):
+            for budget in itertools.count():
+                try:
+                    feasible_packing(inst, sel, node_budget=budget)
+                    return budget
+                except BudgetExceededError:
+                    pass
+
+        budget = max(
+            packing_nodes(Selection(tuple(bool(mask >> l & 1) for l in range(inst.k))))
+            for mask in range(1 << inst.k)
+        )
+        exact_gmkp(inst)
+        with pytest.raises(BudgetExceededError):
+            exact_gmkp(inst, node_budget=budget)
+
     def test_witness_is_consistent(self):
         rng = random.Random(43)
         for _ in range(20):

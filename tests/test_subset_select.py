@@ -376,6 +376,20 @@ class TestWeightDpEncoding:
             args = (T, cnt, col, rhs_list)
             assert _greatest_weight_counts(*args) == tuple_state_weight_counts(*args), args
 
+    def test_random_problems_with_stride(self):
+        # T >= 17 makes the stride at least 2, so the backtrack reruns
+        # segments; zero coefficients, c0 = 0 and types that do not fit are
+        # the edge cases of its cap on q
+        rng = random.Random(20)
+        for _ in range(150):
+            rows = rng.randint(1, 4)
+            T = rng.randint(17, 60)
+            cnt = [rng.randint(1, 4) for _ in range(T)]
+            rhs_list = [rng.randint(0, 60)] + [rng.choice((0, 1, 2, 5, 8, 13)) for _ in range(rows - 1)]
+            col = [[rng.choice((0, rng.randint(1, rhs + 2))) for _ in range(T)] for rhs in rhs_list]
+            args = (T, cnt, col, rhs_list)
+            assert _greatest_weight_counts(*args) == tuple_state_weight_counts(*args), args
+
     @pytest.mark.parametrize("variant", ["2mkp", "3mkp", "mkpprime"])
     def test_generator_instances(self, variant):
         for idx, point in enumerate(gen.latin_hypercube(6, 3)):
