@@ -93,33 +93,20 @@ def instance_from_json(doc) -> Instance:
         raise CliInputError('"groups" must be a list of objects')
     if not isinstance(meta, dict):
         raise CliInputError('"meta" must be an object')
-    weights: list[int] = []
-    groups: list[tuple[int, ...]] = []
-    for entry in entries:
-        start = len(weights)
-        weights.extend(_ints(entry.get("items"), "group items"))
-        groups.append(tuple(range(start, len(weights))))
-    return Instance(
-        capacities=tuple(_ints(doc.get("capacities"), "capacities")),
-        item_weights=tuple(weights),
-        groups=tuple(groups),
-        rewards=tuple(_ints([e.get("reward") for e in entries], "group rewards")),
+    group_items = [_ints(entry.get("items"), "group items") for entry in entries]
+    return Instance.from_groups(
+        capacities=_ints(doc.get("capacities"), "capacities"),
+        group_items=group_items,
+        rewards=_ints([e.get("reward") for e in entries], "group rewards"),
         meta=str(meta.get("id", "")),
     )
 
 
 def canonical_item_order(instance: Instance) -> Instance:
     """Reindex items group-major so that JSON round-trips are bit-exact."""
-    weights: list[int] = []
-    groups: list[tuple[int, ...]] = []
-    for g in instance.groups:
-        start = len(weights)
-        weights.extend(instance.item_weights[j] for j in g)
-        groups.append(tuple(range(start, len(weights))))
-    return Instance(
+    return Instance.from_groups(
         capacities=instance.capacities,
-        item_weights=tuple(weights),
-        groups=tuple(groups),
+        group_items=([instance.item_weights[j] for j in g] for g in instance.groups),
         rewards=instance.rewards,
         meta=instance.meta,
     )
@@ -132,7 +119,7 @@ def load_instance(path) -> Instance:
     except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
         raise CliInputError(f"cannot read instance {path}: {exc}") from exc
     inst = instance_from_json(doc)
-    problems = [v for v in validate(inst) if not v.startswith("plain-mkp")]
+    problems = validate(inst)
     if problems:
         raise CliInputError(f"invalid instance {path}: " + "; ".join(problems))
     return inst
@@ -499,7 +486,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (InconsistentSolutionError, AssertionError) as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except GmkpError as exc:
+    except (GmkpError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

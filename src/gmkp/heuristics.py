@@ -124,29 +124,13 @@ def pareto_frontier(results: Sequence[SolveResult]) -> list[SolveResult]:
 
     A result is dominated when another has reward >= and overload <=,
     with at least one strict inequality.  Results with identical metric
-    pairs collapse to the first occurrence.
+    pairs collapse to the first occurrence.  One stable sort by overload,
+    then reward descending, puts every dominating result before the ones
+    it dominates; a result survives when its reward beats every earlier
+    one, that is the last survivor's.
     """
-    keep = []
-    seen_pairs: set[tuple[int, int]] = set()
-    for a in results:
-        pair = (a.metrics.reward, a.metrics.max_exceeded)
-        if pair in seen_pairs:
-            continue
-        dominated = False
-        for b in results:
-            if b is a:
-                continue
-            if (
-                b.metrics.reward >= a.metrics.reward
-                and b.metrics.max_exceeded <= a.metrics.max_exceeded
-                and (
-                    b.metrics.reward > a.metrics.reward
-                    or b.metrics.max_exceeded < a.metrics.max_exceeded
-                )
-            ):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(a)
-            seen_pairs.add(pair)
-    return sorted(keep, key=lambda r: (r.metrics.max_exceeded, -r.metrics.reward))
+    frontier: list[SolveResult] = []
+    for r in sorted(results, key=lambda r: (r.metrics.max_exceeded, -r.metrics.reward)):
+        if not frontier or r.metrics.reward > frontier[-1].metrics.reward:
+            frontier.append(r)
+    return frontier

@@ -59,6 +59,21 @@ class Instance:
         if len(self.rewards) != len(self.groups):
             raise ValueError("one reward per group required")
 
+    @classmethod
+    def from_groups(cls, capacities, group_items, rewards, meta: str = "") -> "Instance":
+        """An instance from per-group item weights, items numbered group-major.
+
+        Group 0's items come first, in their given order, then group 1's,
+        and so on.
+        """
+        weights: list[int] = []
+        groups = []
+        for items in group_items:
+            start = len(weights)
+            weights.extend(items)
+            groups.append(tuple(range(start, len(weights))))
+        return cls(capacities, weights, groups, rewards, meta)
+
     @property
     def m(self) -> int:
         return len(self.capacities)
@@ -167,8 +182,7 @@ def validate(instance: Instance) -> list[str]:
     """Check every instance invariant; return one descriptor per violation.
 
     Total function: never raises.  An empty list means the instance is
-    well formed.  The plain-MKP condition (no group with two or more
-    items) is reported but callers may treat it as advisory.
+    well formed.
     """
     out = []
     m, n, k = instance.m, instance.n, instance.k
@@ -217,8 +231,6 @@ def validate(instance: Instance) -> list[str]:
             )
     if sum(instance.rewards) > INT64_MAX or sum(instance.item_weights) > INT64_MAX:
         out.append("overflow: reward or weight totals exceed 64-bit range")
-    if k and not any(len(g) >= 2 for g in instance.groups):
-        out.append("plain-mkp: no group has two or more items")
     return out
 
 
@@ -266,22 +278,10 @@ def normalize(instance: Instance) -> tuple[Instance, NormalizationReport]:
     if not changed:
         return instance, report
 
-    # Rebuild with compacted item indices.
-    item_map: dict[int, int] = {}
-    new_weights: list[int] = []
-    new_groups: list[tuple[int, ...]] = []
-    for l in grps:
-        g = []
-        for j in instance.groups[l]:
-            item_map[j] = len(new_weights)
-            new_weights.append(instance.item_weights[j])
-            g.append(item_map[j])
-        new_groups.append(tuple(g))
-    out = Instance(
-        capacities=tuple(instance.capacities[i] for i in caps),
-        item_weights=tuple(new_weights),
-        groups=tuple(new_groups),
-        rewards=tuple(instance.rewards[l] for l in grps),
+    out = Instance.from_groups(
+        capacities=[instance.capacities[i] for i in caps],
+        group_items=([instance.item_weights[j] for j in instance.groups[l]] for l in grps),
+        rewards=[instance.rewards[l] for l in grps],
         meta=instance.meta,
     )
     return out, report

@@ -62,30 +62,32 @@ def _packing(instance: Instance, selection: Selection, budget: _Budget) -> Optio
     for t in range(len(items) - 1, -1, -1):
         suffix[t] = suffix[t + 1] + weights[items[t]]
 
-    def dfs(t: int) -> bool:
+    # Pre-order DFS without recursion: an entry puts ``items[t - 1]`` into
+    # knapsack ``i`` and visits node ``t``.  ``items[:placed]`` are in place.
+    placed = 0
+    stack = [(0, None)]
+    while stack:
+        t, i = stack.pop()
+        if t:
+            while placed >= t:  # take out what the finished siblings placed
+                placed -= 1
+                residual[placement[items[placed]]] += weights[items[placed]]
+            j = items[t - 1]
+            residual[i] -= weights[j]
+            placement[j] = i
+            placed = t
         budget.tick()
         if t == len(items):
-            return True
+            return Assignment.build(instance, placement)
         if suffix[t] > sum(residual):
-            return False
-        j = items[t]
-        w = weights[j]
-        tried: set[int] = set()
+            continue
+        w = weights[items[t]]
+        # equal residuals give symmetric subtrees: the first one stands for all
+        first = {}
         for i in range(instance.m):
-            r = residual[i]
-            if r < w or r in tried:
-                continue
-            tried.add(r)
-            residual[i] -= w
-            placement[j] = i
-            if dfs(t + 1):
-                return True
-            residual[i] += w
-            placement[j] = None
-        return False
-
-    if dfs(0):
-        return Assignment.build(instance, placement)
+            if residual[i] >= w:
+                first.setdefault(residual[i], i)
+        stack.extend((t + 1, i) for i in reversed(first.values()))
     return None
 
 
@@ -114,29 +116,30 @@ def exact_gmkp(
     best_value = -1
     best_selection = Selection.empty(k)
     best_assignment = Assignment.empty(instance)
-    chosen: list[int] = []
-
-    def dfs(t: int, weight: int, value: int):
-        nonlocal best_value, best_selection, best_assignment
+    # Pre-order DFS without recursion: an entry is a node at depth ``t``
+    # that takes group ``order[t - 1]`` or not; ``took[:t]`` is its path.
+    took = [False] * k
+    stack = [(0, 0, 0, False)]
+    while stack:
+        t, weight, value, take = stack.pop()
+        if t:
+            took[t - 1] = take
         budget.tick()
         if value + suffix_reward[t] <= best_value:
-            return
+            continue
         if t == k:
-            sel = Selection.from_indices(chosen, k)
+            sel = Selection.from_indices((order[u] for u in range(k) if took[u]), k)
             packed = _packing(instance, sel, budget)
             if packed is not None and value > best_value:
                 best_value = value
                 best_selection = sel
                 best_assignment = packed
-            return
+            continue
         l = order[t]
+        stack.append((t + 1, weight, value, False))
         if weight + gw[l] <= total_cap:
-            chosen.append(l)
-            dfs(t + 1, weight + gw[l], value + rewards[t])
-            chosen.pop()
-        dfs(t + 1, weight, value)
+            stack.append((t + 1, weight + gw[l], value + rewards[t], True))
 
-    dfs(0, 0, 0)
     if best_value < 0:  # empty selection is always feasible
         best_value = 0
     return best_value, best_selection, best_assignment

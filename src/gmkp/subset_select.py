@@ -26,14 +26,12 @@ VARIANT_MKP_PRIME = "mkpprime"
 class SelectionProblem:
     """A 0/1 maximization over groups with non-negative integer rows.
 
-    Row 0 is always the aggregate weight row; further rows are threshold
-    cuts or floor cuts.  ``provenance[r]`` records where row ``r`` came
-    from ("aggregate", "fd:<d>", or "floor:<d>").
+    Each row is a (coefficients, right-hand side) pair.  Row 0 is the
+    aggregate weight row; further rows are threshold cuts or floor cuts.
     """
 
     group_rewards: tuple[int, ...]
     rows: tuple[tuple[tuple[int, ...], int], ...]
-    provenance: tuple[str, ...]
 
     @property
     def k(self) -> int:
@@ -88,23 +86,6 @@ def canonical_D(instance: Instance) -> set[Fraction]:
     return out
 
 
-def _dedupe_rows(rows, provenance):
-    """Drop all-zero rows; for equal coefficient vectors keep the tightest rhs."""
-    best: dict[tuple[int, ...], tuple[int, str]] = {}
-    order: list[tuple[int, ...]] = []
-    for (coeffs, rhs), tag in zip(rows, provenance):
-        if not any(coeffs):
-            continue
-        if coeffs not in best:
-            best[coeffs] = (rhs, tag)
-            order.append(coeffs)
-        elif rhs < best[coeffs][0]:
-            best[coeffs] = (rhs, tag)
-    out_rows = tuple((c, best[c][0]) for c in order)
-    out_tags = tuple(best[c][1] for c in order)
-    return out_rows, out_tags
-
-
 def build_problem(
     instance: Instance,
     variant: str,
@@ -126,9 +107,7 @@ def build_problem(
     """
     if total_capacity is None:
         total_capacity = instance.total_capacity
-    gw = instance.group_weights()
-    rows: list[tuple[tuple[int, ...], int]] = [(gw, int(total_capacity))]
-    tags: list[str] = ["aggregate"]
+    cut_rows: list[tuple[tuple[int, ...], int]] = []
 
     c_max = instance.c_max
     if variant == VARIANT_KP:
@@ -151,8 +130,7 @@ def build_problem(
                 sum(instance.item_weights[j] // d for j in g) for g in instance.groups
             )
             rhs = sum(c // d for c in instance.capacities)
-            rows.append((coeffs, rhs))
-            tags.append(f"floor:{d}")
+            cut_rows.append((coeffs, rhs))
     else:
         raise ValueError(f"unknown variant {variant!r}")
 
@@ -164,15 +142,16 @@ def build_problem(
         num, den = d.numerator, d.denominator
         coeffs = tuple(sum((weights[j] * den - 1) // num for j in g) for g in instance.groups)
         rhs = sum((c * den - 1) // num for c in instance.capacities)
-        rows.append((coeffs, rhs))
-        tags.append(f"fd:{d}")
+        cut_rows.append((coeffs, rhs))
 
-    cut_rows, cut_tags = _dedupe_rows(rows[1:], tags[1:])
-    return SelectionProblem(
-        group_rewards=instance.rewards,
-        rows=(rows[0],) + cut_rows,
-        provenance=(tags[0],) + cut_tags,
-    )
+    # All-zero cuts go; equal coefficient vectors keep the tightest rhs, in
+    # first-seen order.
+    cuts: dict[tuple[int, ...], int] = {}
+    for coeffs, rhs in cut_rows:
+        if any(coeffs):
+            cuts[coeffs] = min(rhs, cuts.get(coeffs, rhs))
+    aggregate = (instance.group_weights(), int(total_capacity))
+    return SelectionProblem(instance.rewards, (aggregate, *cuts.items()))
 
 
 def _greatest_weight_counts(
@@ -328,38 +307,36 @@ def solve_exact(problem: SelectionProblem, node_budget: Optional[int] = None) ->
     def can_improve(pos: int, used: list[int], value: int, best: int) -> bool:
         """True iff every row's fractional bound strictly exceeds ``best``.
 
-        Integer arithmetic only; each row scan stops as soon as its running
-        total passes ``best`` (no prune possible from that row) or hits the
-        fractional break type (exact cross-multiplied comparison).
+        Called with ``value <= best``.  Integer arithmetic only; each row
+        scan stops as soon as its running total passes ``best`` (no prune
+        possible from that row) or hits the fractional break type (exact
+        cross-multiplied comparison).  A scan that runs out of types ends
+        at or below ``best``, which prunes.
         """
         for r, (coeffs, rhs, ratio_order) in enumerate(bound_rows):
             remaining = rhs - used[r]
             acc = value
-            exceeded = acc > best
-            if not exceeded:
-                for t in ratio_order:
-                    if t < pos:
-                        continue
-                    c = coeffs[t]
-                    q = cnt[t]
-                    if c == 0:
-                        acc += p_t[t] * q
-                    elif c * q <= remaining:
-                        acc += p_t[t] * q
-                        remaining -= c * q
-                    else:
-                        fit = remaining // c
-                        acc += p_t[t] * fit
-                        remaining -= fit * c
-                        # bound = acc + p * remaining / c, compared exactly
-                        exceeded = acc * c + p_t[t] * remaining > best * c
-                        break
-                    if acc > best:
-                        exceeded = True
-                        break
+            for t in ratio_order:
+                if t < pos:
+                    continue
+                c = coeffs[t]
+                q = cnt[t]
+                if c == 0:
+                    acc += p_t[t] * q
+                elif c * q <= remaining:
+                    acc += p_t[t] * q
+                    remaining -= c * q
                 else:
-                    exceeded = acc > best
-            if not exceeded:
+                    fit = remaining // c
+                    acc += p_t[t] * fit
+                    remaining -= fit * c
+                    # bound = acc + p * remaining / c, compared exactly
+                    if acc * c + p_t[t] * remaining <= best * c:
+                        return False
+                    break
+                if acc > best:
+                    break
+            else:
                 return False
         return True
 

@@ -335,6 +335,18 @@ class TestExact:
         proc = run_cli("exact", path, "--node-budget", "1000", timeout=60)
         assert proc.returncode == EXIT_BUDGET, proc.stderr
 
+    def test_deep_search_stops_on_its_budget(self, tmp_path):
+        # seed-7 instance 4 (k = 1516): 1000 subset nodes reach deeper than
+        # the interpreter's recursion limit
+        idx = 4
+        point = gen.latin_hypercube(20, 7)[idx]
+        inst = gen.generate_instance(gen.materialize(point, seed=7 * 1_000_003 + idx))
+        path = tmp_path / "inst.json"
+        write_instance(path, canonical_item_order(inst))
+        proc = run_cli("exact", path, "--node-budget", "1000", timeout=60)
+        assert proc.returncode == EXIT_BUDGET, proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestBench:
     def test_serial_and_concurrent_identical(self, tmp_path):
@@ -394,18 +406,25 @@ class TestBench:
         ["generate", "--count", "0", "--out-dir", "{gen}"],
         ["generate", "--count", "-1", "--out-dir", "{gen}"],
         ["generate", "--capacity", "0", "--out-dir", "{gen}"],
+        ["solve", "{inst}", "--out", "{missing}/x.json"],
+        ["sweep", "{inst}", "--out", "{missing}/x.csv"],
+        ["bench", "--instances", "{dir}", "--algos", "lp", "--out", "{missing}/b.csv"],
+        ["generate", "--count", "1", "--out-dir", "{inst}"],
     ],
     ids=["factor-text", "factor-zero", "no-groups", "text-weight", "feasible-mkpd",
          "sweep-mkpd", "sweep-best", "kp-d-set", "zero-threshold", "best-total-capacity",
          "lp-negative-capacity", "kp-negative-capacity",
-         "count-zero", "count-negative", "capacity-zero"],
+         "count-zero", "count-negative", "capacity-zero",
+         "solve-out-missing-dir", "sweep-out-missing-dir", "bench-out-missing-dir",
+         "out-dir-is-a-file"],
 )
-def test_input_error_exits_2_without_traceback(argv, sample, tmp_path):
+def test_input_error_exits_2_without_traceback(argv, sample, noisy, tmp_path):
     no_groups, text_weight = tmp_path / "no_groups.json", tmp_path / "text_weight.json"
     no_groups.write_text(json.dumps({"schema": "gmkp/1", "capacities": [10, 10]}))
     write_doc(text_weight, [{"reward": 5, "items": ["a"]}])
     names = {"inst": sample[1], "out": tmp_path / "o.csv", "no_groups": no_groups,
-             "text_weight": text_weight, "gen": tmp_path / "gen"}
+             "text_weight": text_weight, "gen": tmp_path / "gen", "dir": noisy.parent,
+             "missing": tmp_path / "missing"}
     proc = run_cli(*(a.format(**names) for a in argv))
     assert proc.returncode == EXIT_INPUT, proc.stderr
     assert "Traceback" not in proc.stderr

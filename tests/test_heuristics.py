@@ -98,6 +98,34 @@ class TestCapacitySweep:
             capacity_sweep(inst, "kp", factors=[Fraction(0)])
 
 
+def reference_pareto_frontier(results):
+    """The pairwise frontier: keep each result no other one dominates, then sort."""
+    keep = []
+    seen_pairs = set()
+    for a in results:
+        pair = (a.metrics.reward, a.metrics.max_exceeded)
+        if pair in seen_pairs:
+            continue
+        dominated = False
+        for b in results:
+            if b is a:
+                continue
+            if (
+                b.metrics.reward >= a.metrics.reward
+                and b.metrics.max_exceeded <= a.metrics.max_exceeded
+                and (
+                    b.metrics.reward > a.metrics.reward
+                    or b.metrics.max_exceeded < a.metrics.max_exceeded
+                )
+            ):
+                dominated = True
+                break
+        if not dominated:
+            keep.append(a)
+            seen_pairs.add(pair)
+    return sorted(keep, key=lambda r: (r.metrics.max_exceeded, -r.metrics.reward))
+
+
 class TestParetoFrontier:
     def brute(self, results):
         keep = []
@@ -130,9 +158,21 @@ class TestParetoFrontier:
             assert pairs == sorted(pairs)
             assert len(pairs) == len(set(pairs))
 
+    def test_same_objects_as_pairwise_reference(self):
+        # few distinct values: many repeated pairs and ties on either metric
+        rng = random.Random(55)
+        for _ in range(2000):
+            results = [
+                fake_result(rng.randint(0, 4), rng.randint(-2, 2))
+                for _ in range(rng.randint(0, 15))
+            ]
+            got = [id(r) for r in pareto_frontier(results)]
+            assert got == [id(r) for r in reference_pareto_frontier(results)]
+
     def test_empty(self):
         assert pareto_frontier([]) == []
 
     def test_duplicates_collapse(self):
         results = [fake_result(5, 1), fake_result(5, 1)]
-        assert len(pareto_frontier(results)) == 1
+        frontier = pareto_frontier(results)
+        assert len(frontier) == 1 and frontier[0] is results[0]

@@ -112,13 +112,11 @@ class TestExactGmkp:
 
 class TestEnumerateFeasibleZ:
     def test_small_problem(self):
-        prob = SelectionProblem((3, 4), (((3, 4), 4),), ("aggregate",))
+        prob = SelectionProblem((3, 4), (((3, 4), 4),))
         z = enumerate_feasible_z(prob)
         assert z == {(False, False), (True, False), (False, True)}
 
     def test_guard_on_large_k(self):
-        prob = SelectionProblem(
-            (1,) * 21, (((1,) * 21, 5),), ("aggregate",)
-        )
+        prob = SelectionProblem((1,) * 21, (((1,) * 21, 5),))
         with pytest.raises(ValueError):
             enumerate_feasible_z(prob)

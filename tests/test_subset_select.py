@@ -124,7 +124,6 @@ class TestBuildProblem:
         inst = make([5, 7], [3, 2, 4], [(0, 1), (2,)], [5, 4])
         prob = build_problem(inst, "kp")
         assert prob.rows == (((5, 4), 12),)
-        assert prob.provenance == ("aggregate",)
 
     def test_total_capacity_override_touches_row_zero_only(self):
         inst = make([6, 6], [5, 4], [(0,), (1,)], [5, 4])
@@ -137,20 +136,20 @@ class TestBuildProblem:
         # half-capacity cut: items above half the largest capacity
         inst = make([7, 7, 7], [4, 4, 4, 3], [(0, 1, 2), (3,)], [12, 3])
         prob = build_problem(inst, "2mkp")
-        assert prob.provenance == ("aggregate", "fd:7/2")
-        coeffs, rhs = prob.rows[1]
-        assert coeffs == (3, 0) and rhs == 3
+        # f_{7/2}: each weight-4 item counts 1, the weight-3 item 0; 3 x 1 fit
+        assert prob.rows == (((12, 3), 21), ((3, 0), 3))
 
     def test_3mkp_adds_third_capacity_cut(self):
         inst = make([9, 9], [8, 4], [(0,), (1,)], [8, 4])
         prob = build_problem(inst, "3mkp")
-        assert [t.split(":")[0] for t in prob.provenance] == ["aggregate", "fd", "fd"]
+        # f_{9/2} then f_{3}: weights 8 and 4 count (1, 0) and (2, 1)
+        assert prob.rows == (((8, 4), 18), ((1, 0), 2), ((2, 1), 4))
 
     def test_zero_rows_dropped(self):
         # every weight at most half of every capacity: cuts are all zero
         inst = make([10, 10], [2, 3], [(0,), (1,)], [2, 3])
         prob = build_problem(inst, "3mkp")
-        assert prob.provenance == ("aggregate",)
+        assert prob.rows == (((2, 3), 20),)
 
     def test_duplicate_coefficient_rows_keep_tightest_rhs(self):
         inst = make([7, 7, 7], [3, 3, 3, 3, 3, 3, 3], [tuple(range(7))], [21])
@@ -167,10 +166,9 @@ class TestBuildProblem:
     def test_mkpprime_floor_rows(self):
         inst = make([4, 8], [6, 2], [(0,), (1,)], [6, 2])
         prob = build_problem(inst, "mkpprime")
-        # one floor row per distinct weight above the smallest capacity
-        assert prob.provenance == ("aggregate", "floor:6")
-        coeffs, rhs = prob.rows[1]
-        assert coeffs == (1, 0) and rhs == 0 + 1  # floor(4/6)+floor(8/6)
+        # one floor row per distinct weight above the smallest capacity:
+        # floor(w/6) per group, rhs floor(4/6) + floor(8/6)
+        assert prob.rows == (((6, 2), 12), ((1, 0), 0 + 1))
 
     def test_unknown_variant(self):
         inst = make([5, 5], [3], [(0,)], [3])
@@ -203,7 +201,7 @@ def random_problem(rng, k_max=16, rows_max=4, force_weight_objective=False):
         rewards = coeffs0
     else:
         rewards = tuple(rng.randint(1, 30) for _ in range(k))
-    return SelectionProblem(rewards, tuple(rows), ("aggregate",) * len(rows))
+    return SelectionProblem(rewards, tuple(rows))
 
 
 class TestSolvers:
@@ -225,12 +223,12 @@ class TestSolvers:
             assert selection_value(prob, a) == selection_value(prob, b)
 
     def test_dp_rejects_multirow(self):
-        prob = SelectionProblem((1,), (((1,), 1), ((1,), 1)), ("aggregate", "fd:1"))
+        prob = SelectionProblem((1,), (((1,), 1), ((1,), 1)))
         with pytest.raises(ValueError):
             solve_dp_single_row(prob)
 
     def test_empty_problem(self):
-        prob = SelectionProblem((), (((), 5),), ("aggregate",))
+        prob = SelectionProblem((), (((), 5),))
         assert solve_exact(prob).chosen == ()
 
     def test_node_budget_raises(self):
@@ -238,7 +236,7 @@ class TestSolvers:
         k = 18
         rewards = tuple(rng.randint(10, 30) for _ in range(k))
         coeffs = tuple(rng.randint(8, 20) for _ in range(k))
-        prob = SelectionProblem(rewards, ((coeffs, sum(coeffs) // 2),), ("aggregate",))
+        prob = SelectionProblem(rewards, ((coeffs, sum(coeffs) // 2),))
         with pytest.raises(BudgetExceededError):
             solve_exact(prob, node_budget=3)
 
@@ -267,9 +265,7 @@ class TestSolvers:
         rng = random.Random(18)
         for _ in range(50):
             base = random_problem(rng, k_max=10, force_weight_objective=True)
-            scaled = SelectionProblem(
-                tuple(7 * p for p in base.group_rewards), base.rows, base.provenance
-            )
+            scaled = SelectionProblem(tuple(7 * p for p in base.group_rewards), base.rows)
             a = selection_value(base, solve_exact(base))
             b = selection_value(scaled, solve_exact(scaled))
             assert 7 * a == b
@@ -653,7 +649,7 @@ def random_preorder_problem(rng) -> SelectionProblem:
     rows = [(tuple(c[r] for _, c in columns), rng.randint(0, 50 if r == 0 else 10))
             for r in range(num_rows)]
     rewards = tuple(p for p, _ in columns)
-    return SelectionProblem(rewards, tuple(rows), ("aggregate",) * num_rows)
+    return SelectionProblem(rewards, tuple(rows))
 
 
 class TestPreorderFact:
@@ -691,5 +687,5 @@ def test_solve_exact_leaves_interpreter_state_alone(monkeypatch):
     monkeypatch.setattr(sys, "setrecursionlimit", refuse)
     weights = tuple(range(1, sys.getrecursionlimit() + 100))
     rewards = tuple(2 * w + w % 3 for w in weights)
-    prob = SelectionProblem(rewards, ((weights, sum(weights)),), ("aggregate",))
+    prob = SelectionProblem(rewards, ((weights, sum(weights)),))
     assert all(solve_exact(prob).chosen)
