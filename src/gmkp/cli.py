@@ -229,8 +229,7 @@ def run_named_algo(
 
 def _load(path) -> Instance:
     """Read, validate and normalize one instance file."""
-    inst, _ = normalize(load_instance(path))
-    return inst
+    return normalize(load_instance(path))
 
 
 def _emit(doc: dict, out: Optional[str]) -> None:
@@ -296,7 +295,7 @@ def cmd_feasible(args) -> int:
     )
     doc = result_to_json(search.result, inst)
     doc["probes"] = search.probes
-    doc["aborted_early"] = search.aborted_early
+    doc["aborted_early"] = False  # kept in the result format; the search always closes
     _emit(doc, args.out)
     return EXIT_OK
 
@@ -306,7 +305,7 @@ def cmd_sweep(args) -> int:
     variant, d_set = resolve_algo(inst, args.algo, args.d_set)
     factors = (
         _fractions(args.factors, "--factors")
-        if args.factors
+        if args.factors is not None
         else list(heuristics.DEFAULT_SWEEP_FACTORS)
     )
     entries = heuristics.capacity_sweep(
@@ -411,6 +410,17 @@ def cmd_bench(args) -> int:
 # -------------------------------------------------------------------- main
 
 
+def _node_budget(text: str) -> int:
+    """The ``--node-budget`` value: an int of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:  # argparse's own wording for a bad int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gmkp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -432,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run one algorithm on one instance")
     add_algo_args(p, ALGO_CHOICES, "3mkp")
-    p.add_argument("--node-budget", type=int, default=None)
+    p.add_argument("--node-budget", type=_node_budget, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--total-capacity", type=int, default=None)
     p.add_argument("--swap-opt", action="store_true")
@@ -440,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("feasible", help="binary-search a capacity-feasible solution")
     add_algo_args(p, SINGLE_ALGOS, "3mkp")
-    p.add_argument("--node-budget", type=int, default=None)
+    p.add_argument("--node-budget", type=_node_budget, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--no-swap-opt", action="store_true")
     p.set_defaults(func=cmd_feasible)
@@ -454,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exact", help="exact optimum for a small instance")
     p.add_argument("instance")
-    p.add_argument("--node-budget", type=int, default=None)
+    p.add_argument("--node-budget", type=_node_budget, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_exact)
 
@@ -462,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", required=True)
     p.add_argument("--algos", default="lp,kp,2mkp,3mkp")
     p.add_argument("--swap-opt", action="store_true")
-    p.add_argument("--node-budget", type=int, default=None)
+    p.add_argument("--node-budget", type=_node_budget, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--summary", default=None)
     p.set_defaults(func=cmd_bench)

@@ -69,13 +69,13 @@ class RewardScheme:
             raise ValueError(f"unknown reward scheme {self.tag!r}")
 
 
-def latin_hypercube(count: int, seed: int, dims: int = 6) -> np.ndarray:
-    """Classic Latin hypercube: one point per stratum in every dimension."""
+def latin_hypercube(count: int, seed: int) -> np.ndarray:
+    """Classic Latin hypercube over the six coordinates ``materialize`` reads."""
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = _rng(seed)
-    points = np.empty((count, dims))
-    for d in range(dims):
+    points = np.empty((count, 6))
+    for d in range(6):
         perm = rng.permutation(count)
         points[:, d] = (perm + rng.random(count)) / count
     return points

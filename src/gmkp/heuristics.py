@@ -30,7 +30,6 @@ def _empty_result(instance: Instance, algorithm: str) -> SolveResult:
 class FeasibleSearchResult:
     result: SolveResult
     probes: int
-    aborted_early: bool  # max_probes ran out before the search closed
 
 
 def binary_search_feasible(
@@ -39,7 +38,6 @@ def binary_search_feasible(
     swap_opt: bool = True,
     d_set: Optional[Iterable[Fraction]] = None,
     node_budget: Optional[int] = None,
-    max_probes: Optional[int] = None,
 ) -> FeasibleSearchResult:
     """Binary search on the aggregate budget for a capacity-feasible run.
 
@@ -47,17 +45,14 @@ def binary_search_feasible(
     knapsack over capacity) becomes the incumbent and raises the lower
     bound, an infeasible one lowers the upper bound.  The incumbent with
     the highest reward is returned; in the worst case that is the empty
-    solution.  A probe's solver error (an exhausted ``node_budget``, say)
-    propagates to the caller.
+    solution.  Each probe halves the interval, so at most
+    ``(total_capacity + 1).bit_length()`` probes run.  A probe's solver
+    error (an exhausted ``node_budget``, say) propagates to the caller.
     """
     left, right = 0, instance.total_capacity
     incumbent = _empty_result(instance, variant)
     probes = 0
-    aborted = False
     while left <= right:
-        if max_probes is not None and probes >= max_probes:
-            aborted = True
-            break
         mid = (left + right) // 2
         probes += 1
         res = pipeline.run_algorithm(
@@ -74,7 +69,7 @@ def binary_search_feasible(
             left = mid + 1
         else:
             right = mid - 1
-    return FeasibleSearchResult(result=incumbent, probes=probes, aborted_early=aborted)
+    return FeasibleSearchResult(result=incumbent, probes=probes)
 
 
 @dataclass(frozen=True)

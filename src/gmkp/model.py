@@ -170,12 +170,10 @@ class FractionalSolution:
 
 @dataclass(frozen=True)
 class BiCriteriaMetrics:
-    """Reward and worst-knapsack overload of one solution, exact."""
+    """The exact (reward, worst-knapsack overload) pair that measures one solution."""
 
     reward: int
     max_exceeded: int
-    beta_ratio: Fraction
-    alpha_ratio: Optional[Fraction] = None
 
 
 def validate(instance: Instance) -> list[str]:
@@ -234,66 +232,43 @@ def validate(instance: Instance) -> list[str]:
     return out
 
 
-@dataclass(frozen=True)
-class NormalizationReport:
-    removed_knapsacks: tuple[int, ...]
-    removed_groups: tuple[int, ...]
-    changed: bool
-
-
-def normalize(instance: Instance) -> tuple[Instance, NormalizationReport]:
+def normalize(instance: Instance) -> Instance:
     """Drop unusable knapsacks and unassignable groups, to a fixed point.
 
     A knapsack smaller than every remaining item weight is removed; a group
     weighing more than the remaining total capacity is removed.  Each removal
-    can enable the other, so the two rules iterate until stable.
+    can enable the other, so the two rules iterate until stable.  Returns the
+    survivors in their order, or ``instance`` itself when nothing is dropped.
 
     Raises ``GmkpError`` if fewer than two knapsacks survive.
     """
     caps = list(range(instance.m))
     grps = list(range(instance.k))
-    removed_caps: list[int] = []
-    removed_grps: list[int] = []
     while True:
         weights = [instance.item_weights[j] for l in grps for j in instance.groups[l]]
         if not weights:
             break
         w_min = min(weights)
-        drop_c = [i for i in caps if instance.capacities[i] < w_min]
-        if drop_c:
-            removed_caps.extend(drop_c)
-            caps = [i for i in caps if i not in set(drop_c)]
-        total = sum(instance.capacities[i] for i in caps)
-        drop_g = [l for l in grps if instance.group_weight(l) > total]
-        if drop_g:
-            removed_grps.extend(drop_g)
-            grps = [l for l in grps if l not in set(drop_g)]
-        if not drop_c and not drop_g:
+        kept_c = [i for i in caps if instance.capacities[i] >= w_min]
+        total = sum(instance.capacities[i] for i in kept_c)
+        kept_g = [l for l in grps if instance.group_weight(l) <= total]
+        if kept_c == caps and kept_g == grps:
             break
+        caps, grps = kept_c, kept_g
     if len(caps) < 2:
         raise GmkpError(f"normalization left {len(caps)} knapsack(s); need at least 2")
-
-    changed = bool(removed_caps or removed_grps)
-    report = NormalizationReport(tuple(removed_caps), tuple(removed_grps), changed)
-    if not changed:
-        return instance, report
-
-    out = Instance.from_groups(
+    if len(caps) == instance.m and len(grps) == instance.k:
+        return instance
+    return Instance.from_groups(
         capacities=[instance.capacities[i] for i in caps],
         group_items=([instance.item_weights[j] for j in instance.groups[l]] for l in grps),
         rewards=[instance.rewards[l] for l in grps],
         meta=instance.meta,
     )
-    return out, report
 
 
-def metrics(
-    instance: Instance,
-    selection: Selection,
-    assignment: Assignment,
-    oracle_reward: Optional[int] = None,
-) -> BiCriteriaMetrics:
-    """Exact bi-criteria metrics of one (selection, assignment) pair.
+def metrics(instance: Instance, selection: Selection, assignment: Assignment) -> BiCriteriaMetrics:
+    """The reward and the worst overload of one (selection, assignment) pair.
 
     Raises ``InconsistentSolutionError`` when the assignment does not place
     exactly the items of the chosen groups, or when the cached loads are
@@ -312,14 +287,6 @@ def metrics(
     if tuple(placed_loads) != assignment.loads:
         raise InconsistentSolutionError("stored loads disagree with placements")
 
-    reward = selection.reward(instance)
-    max_exc = assignment.max_exceeded(instance)
-    alpha = None
-    if oracle_reward is not None and oracle_reward > 0:
-        alpha = Fraction(reward, oracle_reward)
     return BiCriteriaMetrics(
-        reward=reward,
-        max_exceeded=max_exc,
-        beta_ratio=Fraction(max_exc, instance.c_max),
-        alpha_ratio=alpha,
+        reward=selection.reward(instance), max_exceeded=assignment.max_exceeded(instance)
     )

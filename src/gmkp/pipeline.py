@@ -33,7 +33,7 @@ class SolveResult:
     swap_opt_applied: bool = False
 
 
-def hundred_mkp_d_set(c_max: int = 100) -> list[Fraction]:
+def hundred_mkp_d_set(c_max: int) -> list[Fraction]:
     """Thresholds c/2, c/3, ..., c/c used by the many-cuts configuration."""
     return [Fraction(c_max, q) for q in range(2, c_max + 1)]
 

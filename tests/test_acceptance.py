@@ -307,9 +307,10 @@ def test_ac11_determinism(tmp_path):
     ) == 0
 
     def stable(path):
-        return [
-            (r["instance"], r["algo"], r["reward"], r["max_exceeded"])
-            for r in csv.DictReader(path.open())
-        ]
+        with path.open() as fh:
+            return [
+                (r["instance"], r["algo"], r["reward"], r["max_exceeded"])
+                for r in csv.DictReader(fh)
+            ]
 
     assert stable(s_csv) == stable(c_csv)

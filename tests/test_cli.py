@@ -281,7 +281,8 @@ class TestSweep:
         out = tmp_path / "sweep.csv"
         code = main(["sweep", str(path), "--algo", "2mkp", "--out", str(out)])
         assert code == EXIT_OK
-        rows = list(csv.DictReader(out.open()))
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 11
         assert all(r["schema"] == "gmkp-sweep/1" for r in rows)
         assert all(r["dominated"] in ("0", "1") for r in rows)
@@ -290,7 +291,8 @@ class TestSweep:
         _, path = sample
         out = tmp_path / "sweep.csv"
         main(["sweep", str(path), "--factors", "1/2,1", "--out", str(out)])
-        rows = list(csv.DictReader(out.open()))
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
         assert [r["factor"] for r in rows] == ["1/2", "1"]
 
     def test_internal_error_exits_4(self, sample, tmp_path, monkeypatch, capsys):
@@ -358,14 +360,16 @@ class TestBench:
         main(["bench", "--instances", str(gen_dir), "--algos", "lp,kp", "--out", str(out2)])
 
         def stable(path):
-            rows = list(csv.DictReader(path.open()))
+            with path.open() as fh:
+                rows = list(csv.DictReader(fh))
             return [
                 (r["schema"], r["instance"], r["algo"], r["reward"], r["max_exceeded"])
                 for r in rows
             ]
 
         assert stable(out1) == stable(out2)
-        summary = list(csv.DictReader((tmp_path / "a_summary.csv").open()))
+        with (tmp_path / "a_summary.csv").open() as fh:
+            summary = list(csv.DictReader(fh))
         assert [r["algo"] for r in summary] == ["lp", "kp"]
         assert all(r["schema"] == "gmkp-bench-summary/1" for r in summary)
 
@@ -373,9 +377,11 @@ class TestBench:
         out = tmp_path / "b.csv"
         argv = ["bench", "--instances", str(noisy.parent), "--node-budget", "0", "--out", str(out)]
         assert main(argv + ["--algos", "kp"]) == EXIT_BUDGET
-        assert next(csv.DictReader(out.open()))["time_ms"].startswith("error:budget:")
+        with out.open() as fh:
+            assert next(csv.DictReader(fh))["time_ms"].startswith("error:budget:")
         assert main(argv + ["--algos", "lp,mkpd"]) == EXIT_INPUT
-        rows = list(csv.DictReader(out.open()))
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
         assert rows[0]["time_ms"] != "" and not rows[0]["time_ms"].startswith("error:")
         assert rows[1]["time_ms"].startswith("error:input:")
 
@@ -393,6 +399,7 @@ class TestBench:
     [
         ["sweep", "{inst}", "--factors", "1,abc", "--out", "{out}"],
         ["sweep", "{inst}", "--factors", "0,1", "--out", "{out}"],
+        ["sweep", "{inst}", "--factors", "", "--out", "{out}"],
         ["solve", "{no_groups}"],
         ["solve", "{text_weight}"],
         ["feasible", "{inst}", "--algo", "mkpd"],
@@ -410,13 +417,20 @@ class TestBench:
         ["sweep", "{inst}", "--out", "{missing}/x.csv"],
         ["bench", "--instances", "{dir}", "--algos", "lp", "--out", "{missing}/b.csv"],
         ["generate", "--count", "1", "--out-dir", "{inst}"],
+        ["solve", "{inst}", "--algo", "kp", "--node-budget", "-5"],
+        ["feasible", "{inst}", "--node-budget", "-1"],
+        ["exact", "{inst}", "--node-budget", "-1"],
+        ["bench", "--instances", "{dir}", "--algos", "lp", "--node-budget", "-1",
+         "--out", "{out}"],
     ],
-    ids=["factor-text", "factor-zero", "no-groups", "text-weight", "feasible-mkpd",
-         "sweep-mkpd", "sweep-best", "kp-d-set", "zero-threshold", "best-total-capacity",
+    ids=["factor-text", "factor-zero", "sweep-empty-factors", "no-groups", "text-weight",
+         "feasible-mkpd", "sweep-mkpd", "sweep-best", "kp-d-set", "zero-threshold",
+         "best-total-capacity",
          "lp-negative-capacity", "kp-negative-capacity",
          "count-zero", "count-negative", "capacity-zero",
          "solve-out-missing-dir", "sweep-out-missing-dir", "bench-out-missing-dir",
-         "out-dir-is-a-file"],
+         "out-dir-is-a-file", "solve-negative-budget", "feasible-negative-budget",
+         "exact-negative-budget", "bench-negative-budget"],
 )
 def test_input_error_exits_2_without_traceback(argv, sample, noisy, tmp_path):
     no_groups, text_weight = tmp_path / "no_groups.json", tmp_path / "text_weight.json"

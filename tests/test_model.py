@@ -1,7 +1,6 @@
 """Domain types: validation, normalization, metrics."""
 
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -75,19 +74,18 @@ class TestValidate:
 class TestNormalize:
     def test_noop_on_clean_instance(self):
         inst = make([5, 5], [3, 2], [(0, 1)], [5])
-        out, report = normalize(inst)
-        assert out is inst and not report.changed
+        assert normalize(inst) is inst
 
     def test_tiny_knapsack_removed(self):
         inst = make([1, 5, 5], [3, 2], [(0, 1)], [5])
-        out, report = normalize(inst)
-        assert report.removed_knapsacks == (0,)
+        out = normalize(inst)
         assert out.capacities == (5, 5)
+        assert (out.item_weights, out.groups, out.rewards) == ((3, 2), ((0, 1),), (5,))
 
     def test_oversized_group_removed_and_items_compacted(self):
         inst = make([5, 5], [9, 9, 2], [(0, 1), (2,)], [18, 2])
-        out, report = normalize(inst)
-        assert report.removed_groups == (0,)
+        out = normalize(inst)
+        assert out.capacities == (5, 5)
         assert out.item_weights == (2,)
         assert out.groups == ((0,),)
         assert out.rewards == (2,)
@@ -95,10 +93,9 @@ class TestNormalize:
     def test_cascade_to_fixed_point(self):
         # dropping the big group raises min weight, which kills knapsack 0
         inst = make([2, 6, 6], [13, 4, 4], [(0,), (1,), (2,)], [13, 4, 4])
-        out, report = normalize(inst)
-        assert report.removed_groups == (0,)
-        assert report.removed_knapsacks == (0,)
+        out = normalize(inst)
         assert out.capacities == (6, 6)
+        assert (out.item_weights, out.groups, out.rewards) == ((4, 4), ((0,), (1,)), (4, 4))
 
     def test_too_few_knapsacks_raises(self):
         inst = make([1, 5], [3], [(0,)], [3])
@@ -109,9 +106,8 @@ class TestNormalize:
         rng = random.Random(7)
         for _ in range(30):
             inst = random_small_instance(rng)
-            once, _ = normalize(inst)
-            twice, report = normalize(once)
-            assert twice == once and not report.changed
+            once = normalize(inst)
+            assert normalize(once) is once
 
 
 class TestMetrics:
@@ -122,14 +118,6 @@ class TestMetrics:
         m = metrics(inst, sel, asg)
         assert m.reward == 9
         assert m.max_exceeded == -1
-        assert m.beta_ratio == Fraction(-1, 5) and m.alpha_ratio is None
-
-    def test_alpha_ratio(self):
-        inst = make([5, 5], [4], [(0,)], [7])
-        sel = Selection((True,))
-        asg = Assignment.build(inst, (0,))
-        m = metrics(inst, sel, asg, oracle_reward=14)
-        assert m.alpha_ratio == 1 / 2
 
     def test_unplaced_chosen_item_raises(self):
         inst = make([5, 5], [4, 3], [(0, 1)], [7])
@@ -152,9 +140,25 @@ class TestMetrics:
 @settings(max_examples=30, deadline=None)
 def test_normalize_preserves_surviving_data(seed):
     rng = random.Random(seed)
-    inst = random_small_instance(rng)
-    out, report = normalize(inst)
-    kept = [l for l in range(inst.k) if l not in set(report.removed_groups)]
-    assert out.rewards == tuple(inst.rewards[l] for l in kept)
-    assert out.group_weights() == tuple(inst.group_weight(l) for l in kept)
+    base = random_small_instance(rng)
+    # one knapsack that may be too small and one group that may be too heavy
+    caps = list(base.capacities)
+    caps.insert(rng.randint(0, base.m), rng.randint(1, 10))
+    items = [[base.item_weights[j] for j in g] for g in base.groups]
+    rewards = list(base.rewards)
+    at = rng.randint(0, base.k)
+    items.insert(at, [rng.randint(1, base.c_max) for _ in range(rng.randint(1, 8))])
+    rewards.insert(at, rng.randint(1, 50))
+    inst = Instance.from_groups(caps, items, rewards)
+    out = normalize(inst)
+    # the lightest item only grows and the total capacity only shrinks, so
+    # whatever was dropped once stays droppable at the fixed point
+    w_min = min(out.item_weights)
+    assert out.capacities == tuple(c for c in inst.capacities if c >= w_min)
+
+    def groups(i):
+        return [(i.rewards[l], [i.item_weights[j] for j in i.groups[l]]) for l in range(i.k)]
+
+    kept = [g for l, g in enumerate(groups(inst)) if inst.group_weight(l) <= out.total_capacity]
+    assert groups(out) == kept
     assert validate(out) == []

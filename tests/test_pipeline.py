@@ -52,7 +52,7 @@ class TestRunAlgorithm:
 
     def test_mkpd_and_hundred_set(self):
         inst = make([100, 100], [60, 40, 34], [(0, 1), (2,)], [100, 34])
-        res = run_algorithm(inst, "mkpd", d_set=hundred_mkp_d_set())
+        res = run_algorithm(inst, "mkpd", d_set=hundred_mkp_d_set(inst.c_max))
         assert res.algorithm == "mkpd"
         v_star, _, _ = exact_gmkp(inst)
         assert res.metrics.reward >= v_star
