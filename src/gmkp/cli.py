@@ -10,7 +10,8 @@ File formats:
                  (time_ms reads error:input:<msg> or error:budget:<msg> on a
                  failed row)
 
-Items live inside their group, so a malformed partition is unrepresentable.
+Items live inside their group, in the file as in ``Instance``, so a malformed
+partition is unrepresentable.
 Exit codes: 0 success, 2 input error, 3 search budget exceeded, 4 internal
 invariant violation.
 """
@@ -60,19 +61,14 @@ class CliInputError(Exception):
 
 
 def instance_to_json(instance: Instance) -> dict:
-    """Serialize with items nested in their groups (group-major order)."""
-    groups = []
-    for l, g in enumerate(instance.groups):
-        groups.append(
-            {
-                "reward": instance.rewards[l],
-                "items": [instance.item_weights[j] for j in g],
-            }
-        )
+    """Serialize with items nested in their groups."""
     return {
         "schema": INSTANCE_SCHEMA,
         "capacities": list(instance.capacities),
-        "groups": groups,
+        "groups": [
+            {"reward": p, "items": list(items)}
+            for p, items in zip(instance.rewards, instance.group_items)
+        ],
         "meta": {"id": instance.meta},
     }
 
@@ -84,7 +80,7 @@ def _ints(values, what: str) -> list[int]:
 
 
 def instance_from_json(doc) -> Instance:
-    """Parse the nested form; item indices are assigned group-major."""
+    """Parse the nested form into an ``Instance``."""
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema != INSTANCE_SCHEMA:
         raise CliInputError(f"unsupported instance schema {schema!r}")
@@ -94,7 +90,7 @@ def instance_from_json(doc) -> Instance:
     if not isinstance(meta, dict):
         raise CliInputError('"meta" must be an object')
     group_items = [_ints(entry.get("items"), "group items") for entry in entries]
-    return Instance.from_groups(
+    return Instance(
         capacities=_ints(doc.get("capacities"), "capacities"),
         group_items=group_items,
         rewards=_ints([e.get("reward") for e in entries], "group rewards"),
@@ -103,20 +99,19 @@ def instance_from_json(doc) -> Instance:
 
 
 def canonical_item_order(instance: Instance) -> Instance:
-    """Reindex items group-major so that JSON round-trips are bit-exact."""
-    return Instance.from_groups(
-        capacities=instance.capacities,
-        group_items=([instance.item_weights[j] for j in g] for g in instance.groups),
-        rewards=instance.rewards,
-        meta=instance.meta,
-    )
+    """``instance`` itself: every ``Instance`` numbers its items group-major.
+
+    Kept only because the benchmark script calls it.
+    """
+    return instance
 
 
 def load_instance(path) -> Instance:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
+    # ValueError covers bad JSON and bad UTF-8; RecursionError too deep a nesting
+    except (OSError, ValueError, RecursionError) as exc:
         raise CliInputError(f"cannot read instance {path}: {exc}") from exc
     inst = instance_from_json(doc)
     problems = validate(inst)
@@ -258,7 +253,6 @@ def cmd_generate(args) -> int:
         inst = gen.generate_instance(params)
         if args.reward_scheme != "R0":
             inst = gen.apply_reward_scheme(inst, scheme)
-        inst = canonical_item_order(inst)
         name = f"inst_{args.seed}_{idx}.json"
         dump_json(instance_to_json(inst), out_dir / name)
         manifest["instances"].append(

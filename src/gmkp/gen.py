@@ -135,12 +135,10 @@ def generate_instance(params: GeneratorParams) -> Instance:
     weights = [params.w_min, params.w_max]
     while Fraction(sum(weights), cap_sum) <= params.r_load:
         weights.append(_triangular_int(rng, params.w_min, params.w_mode, params.w_max))
-    n = len(weights)
-    k = math.ceil(n * (1 - params.r_conc))
-    groups: list[list[int]] = [[j] for j in range(k)]
-    totals = [weights[j] for j in range(k)]
-    for j in range(k, n):
-        w = weights[j]
+    k = math.ceil(len(weights) * (1 - params.r_conc))
+    groups = [[w] for w in weights[:k]]
+    totals = weights[:k]
+    for w in weights[k:]:
         eligible = [g for g in range(len(groups)) if totals[g] + w <= cap_sum]
         if eligible:
             g = eligible[int(rng.integers(0, len(eligible)))]
@@ -148,13 +146,12 @@ def generate_instance(params: GeneratorParams) -> Instance:
             groups.append([])
             totals.append(0)
             g = len(groups) - 1
-        groups[g].append(j)
+        groups[g].append(w)
         totals[g] += w
     return Instance(
         capacities=(params.capacity,) * params.m,
-        item_weights=tuple(weights),
-        groups=tuple(tuple(g) for g in groups),
-        rewards=tuple(totals),
+        group_items=groups,
+        rewards=totals,
         meta=f"gen seed={params.seed} rng={RNG_NAME} m={params.m} "
         f"w=[{params.w_min},{params.w_mode},{params.w_max}] "
         f"r_load={params.r_load} r_conc={params.r_conc} cap={params.capacity}",
@@ -188,8 +185,7 @@ def apply_reward_scheme(instance: Instance, scheme: RewardScheme) -> Instance:
         rewards = tuple(int(round(float(u) * p)) for u, p in zip(mult, p0))
     return Instance(
         capacities=instance.capacities,
-        item_weights=instance.item_weights,
-        groups=instance.groups,
+        group_items=instance.group_items,
         rewards=rewards,
         meta=f"{instance.meta} reward={scheme.tag}"
         + (f" rseed={scheme.seed}" if scheme.tag == "R3" else ""),

@@ -7,8 +7,9 @@ point enters any solver computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, pairwise
 from typing import Optional
 
 # Rewards and weights are bounded so that sums never overflow 64 bits.
@@ -31,48 +32,43 @@ class InconsistentSolutionError(GmkpError):
 class Instance:
     """A grouped multiple-knapsack instance.
 
+    Items live inside their group, so the groups partition the items by
+    construction.  Items are numbered group-major: group 0's items come
+    first, in their given order, then group 1's, and so on.
+
     Attributes
     ----------
     capacities : tuple[int, ...]
         Per-knapsack capacities, all positive.
-    item_weights : tuple[int, ...]
-        Per-item weights, all positive.
-    groups : tuple[tuple[int, ...], ...]
-        Disjoint item-index sets partitioning ``range(n)``.
+    group_items : tuple[tuple[int, ...], ...]
+        The item weights of each group, all positive.
     rewards : tuple[int, ...]
         One positive reward per group.
     meta : str
         Opaque provenance string (seed, generator name, ...).
+    item_weights : tuple[int, ...]
+        Derived: every item weight, group-major.
+    groups : tuple[tuple[int, ...], ...]
+        Derived: the item indices of each group, consecutive and ascending.
     """
 
     capacities: tuple[int, ...]
-    item_weights: tuple[int, ...]
-    groups: tuple[tuple[int, ...], ...]
+    group_items: tuple[tuple[int, ...], ...]
     rewards: tuple[int, ...]
     meta: str = ""
+    item_weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    groups: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        group_items = tuple(tuple(int(w) for w in g) for g in self.group_items)
         object.__setattr__(self, "capacities", tuple(int(c) for c in self.capacities))
-        object.__setattr__(self, "item_weights", tuple(int(w) for w in self.item_weights))
-        object.__setattr__(self, "groups", tuple(tuple(int(j) for j in g) for g in self.groups))
+        object.__setattr__(self, "group_items", group_items)
         object.__setattr__(self, "rewards", tuple(int(p) for p in self.rewards))
-        if len(self.rewards) != len(self.groups):
+        if len(self.rewards) != len(group_items):
             raise ValueError("one reward per group required")
-
-    @classmethod
-    def from_groups(cls, capacities, group_items, rewards, meta: str = "") -> "Instance":
-        """An instance from per-group item weights, items numbered group-major.
-
-        Group 0's items come first, in their given order, then group 1's,
-        and so on.
-        """
-        weights: list[int] = []
-        groups = []
-        for items in group_items:
-            start = len(weights)
-            weights.extend(items)
-            groups.append(tuple(range(start, len(weights))))
-        return cls(capacities, weights, groups, rewards, meta)
+        bounds = pairwise(accumulate(map(len, group_items), initial=0))
+        object.__setattr__(self, "item_weights", tuple(w for g in group_items for w in g))
+        object.__setattr__(self, "groups", tuple(tuple(range(a, b)) for a, b in bounds))
 
     @property
     def m(self) -> int:
@@ -99,10 +95,10 @@ class Instance:
         return sum(self.capacities)
 
     def group_weight(self, l: int) -> int:
-        return sum(self.item_weights[j] for j in self.groups[l])
+        return sum(self.group_items[l])
 
     def group_weights(self) -> tuple[int, ...]:
-        return tuple(self.group_weight(l) for l in range(self.k))
+        return tuple(sum(g) for g in self.group_items)
 
 
 @dataclass(frozen=True)
@@ -180,10 +176,11 @@ def validate(instance: Instance) -> list[str]:
     """Check every instance invariant; return one descriptor per violation.
 
     Total function: never raises.  An empty list means the instance is
-    well formed.
+    well formed.  The groups partition the items by construction, so the
+    only group rule is that none is empty.
     """
     out = []
-    m, n, k = instance.m, instance.n, instance.k
+    m = instance.m
     if m < 2:
         out.append(f"knapsack-count: m={m} < 2")
     for i, c in enumerate(instance.capacities):
@@ -196,20 +193,9 @@ def validate(instance: Instance) -> list[str]:
         if p <= 0:
             out.append(f"reward-positive: group {l} has reward {p}")
 
-    seen: dict[int, int] = {}
-    for l, g in enumerate(instance.groups):
+    for l, g in enumerate(instance.group_items):
         if not g:
             out.append(f"group-nonempty: group {l} is empty")
-        for j in g:
-            if not 0 <= j < n:
-                out.append(f"group-index-range: group {l} references item {j}")
-            elif j in seen:
-                out.append(f"group-disjoint: item {j} in groups {seen[j]} and {l}")
-            else:
-                seen[j] = l
-    missing = [j for j in range(n) if j not in seen]
-    if missing:
-        out.append(f"group-cover: items {missing} belong to no group")
 
     if instance.capacities and instance.item_weights:
         c_max = instance.c_max
@@ -217,9 +203,7 @@ def validate(instance: Instance) -> list[str]:
         for j, w in enumerate(instance.item_weights):
             if w > c_max:
                 out.append(f"weight-bound: item {j} weighs {w} > max capacity {c_max}")
-        for l in range(k):
-            # out-of-range indices are reported separately above
-            gw = sum(instance.item_weights[j] for j in instance.groups[l] if 0 <= j < n)
+        for l, gw in enumerate(instance.group_weights()):
             if gw > total:
                 out.append(f"group-fits-total: group {l} weighs {gw} > total capacity {total}")
         if min(instance.capacities) < min(instance.item_weights):
@@ -245,7 +229,7 @@ def normalize(instance: Instance) -> Instance:
     caps = list(range(instance.m))
     grps = list(range(instance.k))
     while True:
-        weights = [instance.item_weights[j] for l in grps for j in instance.groups[l]]
+        weights = [w for l in grps for w in instance.group_items[l]]
         if not weights:
             break
         w_min = min(weights)
@@ -259,9 +243,9 @@ def normalize(instance: Instance) -> Instance:
         raise GmkpError(f"normalization left {len(caps)} knapsack(s); need at least 2")
     if len(caps) == instance.m and len(grps) == instance.k:
         return instance
-    return Instance.from_groups(
+    return Instance(
         capacities=[instance.capacities[i] for i in caps],
-        group_items=([instance.item_weights[j] for j in instance.groups[l]] for l in grps),
+        group_items=[instance.group_items[l] for l in grps],
         rewards=[instance.rewards[l] for l in grps],
         meta=instance.meta,
     )

@@ -126,21 +126,18 @@ def build_problem(
         ds = []
         c_min = min(instance.capacities)
         for d in sorted({w for w in instance.item_weights if w > c_min}):
-            coeffs = tuple(
-                sum(instance.item_weights[j] // d for j in g) for g in instance.groups
-            )
+            coeffs = tuple(sum(w // d for w in g) for g in instance.group_items)
             rhs = sum(c // d for c in instance.capacities)
             cut_rows.append((coeffs, rhs))
     else:
         raise ValueError(f"unknown variant {variant!r}")
 
     # f_d inlined: each threshold's numerator and denominator are read once.
-    weights = instance.item_weights
-    if ds and min(weights + instance.capacities, default=1) < 1:
+    if ds and min(instance.item_weights + instance.capacities, default=1) < 1:
         raise ValueError("y must be a positive integer")
     for d in ds:
         num, den = d.numerator, d.denominator
-        coeffs = tuple(sum((weights[j] * den - 1) // num for j in g) for g in instance.groups)
+        coeffs = tuple(sum((w * den - 1) // num for w in g) for g in instance.group_items)
         rhs = sum((c * den - 1) // num for c in instance.capacities)
         cut_rows.append((coeffs, rhs))
 

@@ -33,23 +33,19 @@ def random_small_instance(
     total = sum(caps)
 
     k = rng.randint(1, max_k)
-    weights: list[int] = []
-    groups: list[list[int]] = []
     # one seed item per group, the first light enough for every knapsack
-    for l in range(k):
-        w = rng.randint(1, c_min if l == 0 else c_max)
-        groups.append([len(weights)])
-        weights.append(w)
-    totals = [weights[g[0]] for g in groups]
-    while len(weights) < rng.randint(k, max_n):
+    group_items = [[rng.randint(1, c_min if l == 0 else c_max)] for l in range(k)]
+    totals = [g[0] for g in group_items]
+    n = k
+    while n < rng.randint(k, max_n):
         w = rng.randint(1, c_max)
         eligible = [l for l in range(k) if totals[l] + w <= total]
         if not eligible:
             break
         l = rng.choice(eligible)
-        groups[l].append(len(weights))
-        weights.append(w)
+        group_items[l].append(w)
         totals[l] += w
+        n += 1
 
     if reward_mode is None:
         reward_mode = rng.choice(["weight", "uniform", "weightish"])
@@ -60,13 +56,12 @@ def random_small_instance(
     else:
         rewards = [max(1, t + rng.randint(-3, 3)) for t in totals]
 
-    return Instance(
-        capacities=tuple(caps),
-        item_weights=tuple(weights),
-        groups=tuple(tuple(g) for g in groups),
-        rewards=tuple(rewards),
-        meta=f"test-sampler mode={reward_mode}",
-    )
+    return Instance(caps, group_items, rewards, meta=f"test-sampler mode={reward_mode}")
+
+
+def make(caps, weights, groups, rewards) -> Instance:
+    """An instance whose group ``l`` holds the items ``weights[j]``, ``j`` in ``groups[l]``."""
+    return Instance(caps, [[weights[j] for j in g] for g in groups], rewards)
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ from gmkp.cli import main as cli_main
 from gmkp.gen import GeneratorParams, generate_instance
 from gmkp.heuristics import binary_search_feasible, capacity_sweep, pareto_frontier
 from gmkp.lp_greedy import greedy_lp
-from gmkp.model import Assignment, Instance, Selection
+from gmkp.model import Assignment, Selection
 from gmkp.oracle import enumerate_feasible_z, exact_gmkp, solve_dp_single_row
 from gmkp.pipeline import run_algorithm
 from gmkp.subset_select import (
@@ -20,7 +20,7 @@ from gmkp.subset_select import (
     canonical_D,
     solve_exact,
 )
-from conftest import random_small_instance
+from conftest import make, random_small_instance
 from test_assign import improving_move_exists, random_assignment
 from test_heuristics import fake_result
 from test_subset_select import brute_force_best, random_problem, selection_value
@@ -44,10 +44,6 @@ def criterion(tag):
         return run
 
     return wrap
-
-
-def make(caps, weights, groups, rewards):
-    return Instance(tuple(caps), tuple(weights), tuple(groups), tuple(rewards))
 
 
 @criterion("AC01 tight-example exactness")

@@ -7,12 +7,8 @@ from hypothesis import strategies as st
 
 from gmkp import gen, pipeline
 from gmkp.assign import greedy_assign, swap_optimal
-from gmkp.model import Assignment, GmkpError, Instance, Selection
-from conftest import random_small_instance
-
-
-def make(caps, weights, groups, rewards):
-    return Instance(tuple(caps), tuple(weights), tuple(groups), tuple(rewards))
+from gmkp.model import Assignment, GmkpError, Selection
+from conftest import make, random_small_instance
 
 
 def potential(instance, loads):

@@ -10,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import gmkp
 from gmkp import assign, gen
@@ -18,18 +20,14 @@ from gmkp.cli import (
     EXIT_INPUT,
     EXIT_INTERNAL,
     EXIT_OK,
-    canonical_item_order,
     dump_json,
     instance_from_json,
     instance_to_json,
     json_text,
     main,
 )
-from gmkp.model import InconsistentSolutionError, Instance
-
-
-def make(caps, weights, groups, rewards):
-    return Instance(tuple(caps), tuple(weights), tuple(groups), tuple(rewards))
+from gmkp.model import InconsistentSolutionError
+from conftest import make
 
 
 def write_instance(path, instance):
@@ -70,15 +68,11 @@ class TestSerialization:
         inst = make([10, 10], [6, 4, 5], [(0, 1), (2,)], [10, 5])
         assert instance_from_json(instance_to_json(inst)) == inst
 
-    def test_canonical_item_order(self):
-        scrambled = make([10, 10], [5, 6, 4], [(1, 2), (0,)], [10, 5])
-        canon = canonical_item_order(scrambled)
-        assert canon.item_weights == (6, 4, 5)
-        assert canon.groups == ((0, 1), (2,))
-        assert instance_from_json(instance_to_json(canon)) == canon
-        # semantics preserved
-        assert canon.group_weights() == scrambled.group_weights()
-        assert canon.rewards == scrambled.rewards
+    def test_generated_instance_round_trips(self):
+        for idx, point in enumerate(gen.latin_hypercube(4, 3)):
+            params = gen.materialize(point, seed=3 * 1_000_003 + idx)
+            inst = gen.generate_instance(params)
+            assert instance_from_json(instance_to_json(inst)) == inst
 
     def test_serialized_text_round_trips_bit_exactly(self, tmp_path):
         inst = make([7, 9], [3, 3, 4], [(0,), (1, 2)], [3, 7])
@@ -333,7 +327,7 @@ class TestExact:
         point = gen.latin_hypercube(20, 7)[idx]
         inst = gen.generate_instance(gen.materialize(point, seed=7 * 1_000_003 + idx))
         path = tmp_path / "inst.json"
-        write_instance(path, canonical_item_order(inst))
+        write_instance(path, inst)
         proc = run_cli("exact", path, "--node-budget", "1000", timeout=60)
         assert proc.returncode == EXIT_BUDGET, proc.stderr
 
@@ -344,7 +338,7 @@ class TestExact:
         point = gen.latin_hypercube(20, 7)[idx]
         inst = gen.generate_instance(gen.materialize(point, seed=7 * 1_000_003 + idx))
         path = tmp_path / "inst.json"
-        write_instance(path, canonical_item_order(inst))
+        write_instance(path, inst)
         proc = run_cli("exact", path, "--node-budget", "1000", timeout=60)
         assert proc.returncode == EXIT_BUDGET, proc.stderr
         assert "Traceback" not in proc.stderr
@@ -422,6 +416,8 @@ class TestBench:
         ["exact", "{inst}", "--node-budget", "-1"],
         ["bench", "--instances", "{dir}", "--algos", "lp", "--node-budget", "-1",
          "--out", "{out}"],
+        ["solve", "{deep}"],
+        ["solve", "{deep_meta}"],
     ],
     ids=["factor-text", "factor-zero", "sweep-empty-factors", "no-groups", "text-weight",
          "feasible-mkpd", "sweep-mkpd", "sweep-best", "kp-d-set", "zero-threshold",
@@ -430,16 +426,61 @@ class TestBench:
          "count-zero", "count-negative", "capacity-zero",
          "solve-out-missing-dir", "sweep-out-missing-dir", "bench-out-missing-dir",
          "out-dir-is-a-file", "solve-negative-budget", "feasible-negative-budget",
-         "exact-negative-budget", "bench-negative-budget"],
+         "exact-negative-budget", "bench-negative-budget", "deep-nesting", "deep-meta"],
 )
 def test_input_error_exits_2_without_traceback(argv, sample, noisy, tmp_path):
     no_groups, text_weight = tmp_path / "no_groups.json", tmp_path / "text_weight.json"
     no_groups.write_text(json.dumps({"schema": "gmkp/1", "capacities": [10, 10]}))
     write_doc(text_weight, [{"reward": 5, "items": ["a"]}])
+    # nested deeper than the JSON decoder's recursion limit
+    nested = "[" * 200_000 + "]" * 200_000
+    deep, deep_meta = tmp_path / "deep.json", tmp_path / "deep_meta.json"
+    deep.write_text(nested)
+    deep_meta.write_text('{"schema": "gmkp/1", "capacities": [10, 10], '
+                         f'"groups": [{{"reward": 3, "items": [3]}}], "meta": {{"id": {nested}}}}}')
     names = {"inst": sample[1], "out": tmp_path / "o.csv", "no_groups": no_groups,
              "text_weight": text_weight, "gen": tmp_path / "gen", "dir": noisy.parent,
-             "missing": tmp_path / "missing"}
+             "missing": tmp_path / "missing", "deep": deep, "deep_meta": deep_meta}
     proc = run_cli(*(a.format(**names) for a in argv))
     assert proc.returncode == EXIT_INPUT, proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "gen").exists()
+
+
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=4),
+    max_leaves=10,
+)
+
+
+@st.composite
+def instance_shaped(draw):
+    """A valid instance document, half the time with one value replaced by any JSON."""
+    caps = draw(st.lists(st.integers(1, 30), min_size=2, max_size=4))
+    items = st.lists(st.integers(1, min(caps)), min_size=1, max_size=3)
+    groups = [{"reward": draw(st.integers(1, 40)), "items": draw(items)}
+              for _ in range(draw(st.integers(0, 4)))]
+    doc = {"schema": "gmkp/1", "capacities": caps, "groups": groups, "meta": {"id": "fuzz"}}
+    slots = ([(doc, key) for key in doc] + [(caps, i) for i in range(len(caps))]
+             + [(g, key) for g in groups for key in g]
+             + [(g["items"], i) for g in groups for i in range(len(g["items"]))])
+    if draw(st.booleans()):
+        parent, key = draw(st.sampled_from(slots))
+        parent[key] = draw(st.integers(-2, 30) | ANY_JSON)
+    return doc
+
+
+@given(doc=ANY_JSON | instance_shaped(), command=st.sampled_from(["solve", "feasible", "sweep",
+                                                                 "exact"]))
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_document_keeps_the_exit_code_contract(doc, command, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, str(path), "--out", str(tmp_path / "out")]
+    if command != "sweep":
+        argv += ["--node-budget", "2000"]
+    assert main(argv) in (EXIT_OK, EXIT_INPUT, EXIT_BUDGET, EXIT_INTERNAL)
+    capsys.readouterr()

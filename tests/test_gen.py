@@ -109,11 +109,13 @@ class TestGenerateInstance:
         total = sum(inst.item_weights)
         cap_sum = 400
         assert Fraction(total, cap_sum) > p.r_load
-        assert Fraction(total - inst.item_weights[-1], cap_sum) <= p.r_load
+        # the last draw is the last item of its group
+        assert any(Fraction(total - g[-1], cap_sum) <= p.r_load for g in inst.group_items)
 
     def test_extreme_weights_present(self):
+        # the two extreme weights seed groups 0 and 1
         inst = generate_instance(params())
-        assert inst.item_weights[0] == 10 and inst.item_weights[1] == 30
+        assert inst.group_items[0][0] == 10 and inst.group_items[1][0] == 30
 
     def test_group_count_tracks_concentration(self):
         spread = generate_instance(params(r_conc=Fraction(0)))

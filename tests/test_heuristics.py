@@ -11,14 +11,10 @@ from gmkp.heuristics import (
     capacity_sweep,
     pareto_frontier,
 )
-from gmkp.model import Assignment, BiCriteriaMetrics, Instance, Selection
+from gmkp.model import Assignment, BiCriteriaMetrics, Selection
 from gmkp.oracle import exact_gmkp
 from gmkp.pipeline import SolveResult
-from conftest import random_small_instance
-
-
-def make(caps, weights, groups, rewards):
-    return Instance(tuple(caps), tuple(weights), tuple(groups), tuple(rewards))
+from conftest import make, random_small_instance
 
 
 def fake_result(reward, max_exceeded):

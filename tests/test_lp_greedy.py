@@ -8,13 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmkp.lp_greedy import greedy_lp, sort_groups
-from gmkp.model import Instance
 from gmkp.oracle import exact_gmkp
-from conftest import random_small_instance
-
-
-def make(caps, weights, groups, rewards):
-    return Instance(tuple(caps), tuple(weights), tuple(groups), tuple(rewards))
+from conftest import make, random_small_instance
 
 
 def pour(inst, z):

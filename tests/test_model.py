@@ -16,11 +16,7 @@ from gmkp.model import (
     normalize,
     validate,
 )
-from conftest import random_small_instance
-
-
-def make(caps, weights, groups, rewards):
-    return Instance(tuple(caps), tuple(weights), tuple(groups), tuple(rewards))
+from conftest import make, random_small_instance
 
 
 class TestValidate:
@@ -46,10 +42,6 @@ class TestValidate:
         assert any(v.startswith("reward-positive") for v in out)
 
     def test_partition_violations_flagged(self):
-        inst = make([5, 5], [3, 2, 4], [(0, 1), (1,)], [1, 1])
-        out = validate(inst)
-        assert any(v.startswith("group-disjoint") for v in out)
-        assert any(v.startswith("group-cover") for v in out)
         inst = make([5, 5], [3], [(0,), ()], [1, 1])
         assert any(v.startswith("group-nonempty") for v in validate(inst))
 
@@ -67,8 +59,10 @@ class TestValidate:
         assert validate(inst) == []
 
     def test_validate_is_total_on_garbage(self):
-        inst = make([5, 5], [3], [(9,), (0,)], [1, 1])
-        assert validate(inst)  # reports, does not raise
+        # reports, does not raise
+        assert validate(Instance([0], [[], [-3, 0]], [0, -1]))
+        assert validate(Instance([], [[]], [1]))
+        assert validate(Instance([5], [], []))
 
 
 class TestNormalize:
@@ -144,21 +138,18 @@ def test_normalize_preserves_surviving_data(seed):
     # one knapsack that may be too small and one group that may be too heavy
     caps = list(base.capacities)
     caps.insert(rng.randint(0, base.m), rng.randint(1, 10))
-    items = [[base.item_weights[j] for j in g] for g in base.groups]
+    items = list(base.group_items)
     rewards = list(base.rewards)
     at = rng.randint(0, base.k)
     items.insert(at, [rng.randint(1, base.c_max) for _ in range(rng.randint(1, 8))])
     rewards.insert(at, rng.randint(1, 50))
-    inst = Instance.from_groups(caps, items, rewards)
+    inst = Instance(caps, items, rewards)
     out = normalize(inst)
     # the lightest item only grows and the total capacity only shrinks, so
     # whatever was dropped once stays droppable at the fixed point
     w_min = min(out.item_weights)
     assert out.capacities == tuple(c for c in inst.capacities if c >= w_min)
 
-    def groups(i):
-        return [(i.rewards[l], [i.item_weights[j] for j in i.groups[l]]) for l in range(i.k)]
-
-    kept = [g for l, g in enumerate(groups(inst)) if inst.group_weight(l) <= out.total_capacity]
-    assert groups(out) == kept
+    kept = [(p, g) for p, g in zip(inst.rewards, inst.group_items) if sum(g) <= out.total_capacity]
+    assert list(zip(out.rewards, out.group_items)) == kept
     assert validate(out) == []

@@ -5,14 +5,10 @@ import random
 
 import pytest
 
-from gmkp.model import BudgetExceededError, Instance, Selection
+from gmkp.model import BudgetExceededError, Selection
 from gmkp.oracle import enumerate_feasible_z, exact_gmkp, feasible_packing
 from gmkp.subset_select import SelectionProblem
-from conftest import random_small_instance
-
-
-def make(caps, weights, groups, rewards):
-    return Instance(tuple(caps), tuple(weights), tuple(groups), tuple(rewards))
+from conftest import make, random_small_instance
 
 
 def packable_by_enumeration(instance, selection):

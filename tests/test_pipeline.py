@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gmkp.model import Instance, metrics
+from gmkp.model import metrics
 from gmkp.oracle import exact_gmkp
 from gmkp.pipeline import (
     ALL_VARIANTS,
@@ -16,11 +16,7 @@ from gmkp.pipeline import (
     run_algorithm,
     run_best,
 )
-from conftest import random_small_instance
-
-
-def make(caps, weights, groups, rewards):
-    return Instance(tuple(caps), tuple(weights), tuple(groups), tuple(rewards))
+from conftest import make, random_small_instance
 
 
 class TestRunAlgorithm:

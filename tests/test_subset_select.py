@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmkp import gen
-from gmkp.model import BudgetExceededError, Instance, Selection
+from gmkp.model import BudgetExceededError, Selection
 from gmkp.oracle import enumerate_feasible_z, solve_dp_single_row
 from gmkp.subset_select import (
     _WEIGHT_DP_LIMIT,
@@ -21,11 +21,7 @@ from gmkp.subset_select import (
     f_d,
     solve_exact,
 )
-from conftest import random_small_instance
-
-
-def make(caps, weights, groups, rewards):
-    return Instance(tuple(caps), tuple(weights), tuple(groups), tuple(rewards))
+from conftest import make, random_small_instance
 
 
 def brute_force_best(problem: SelectionProblem) -> int:
