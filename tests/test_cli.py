@@ -482,5 +482,6 @@ def test_any_document_keeps_the_exit_code_contract(doc, command, tmp_path, capsy
     argv = [command, str(path), "--out", str(tmp_path / "out")]
     if command != "sweep":
         argv += ["--node-budget", "2000"]
-    assert main(argv) in (EXIT_OK, EXIT_INPUT, EXIT_BUDGET, EXIT_INTERNAL)
+    # 4 flags a broken internal invariant, which no document may reach
+    assert main(argv) in (EXIT_OK, EXIT_INPUT, EXIT_BUDGET)
     capsys.readouterr()

@@ -109,8 +109,11 @@ class TestGenerateInstance:
         total = sum(inst.item_weights)
         cap_sum = 400
         assert Fraction(total, cap_sum) > p.r_load
-        # the last draw is the last item of its group
-        assert any(Fraction(total - g[-1], cap_sum) <= p.r_load for g in inst.group_items)
+        # r_conc = 0 keeps every draw in its own group, in draw order; grouping
+        # does not change the draws themselves
+        drawn = generate_instance(params(r_conc=Fraction(0)))
+        assert sorted(drawn.item_weights) == sorted(inst.item_weights)
+        assert Fraction(total - drawn.item_weights[-1], cap_sum) <= p.r_load
 
     def test_extreme_weights_present(self):
         # the two extreme weights seed groups 0 and 1
