@@ -24,7 +24,6 @@ from .subset_select import (
 from .assign import greedy_assign, swap_optimal
 from .pipeline import (
     SolveResult,
-    check_guarantees,
     hundred_mkp_d_set,
     run_algorithm,
     run_best,

@@ -3,8 +3,16 @@
 from __future__ import annotations
 
 import heapq
+from itertools import accumulate, pairwise
 
-from .model import Assignment, GmkpError, Instance, Selection
+from .model import Assignment, Instance, Selection
+
+
+def heaviest_first(instance: Instance, selection: Selection) -> list[int]:
+    """The chosen groups' items, heaviest first; equally heavy items keep ascending index."""
+    bounds = pairwise(accumulate(map(len, instance.group_items), initial=0))
+    items = [j for (a, b), on in zip(bounds, selection.chosen) if on for j in range(a, b)]
+    return sorted(items, key=lambda j: (-instance.item_weights[j], j))
 
 
 def greedy_assign(instance: Instance, selection: Selection) -> Assignment:
@@ -13,15 +21,11 @@ def greedy_assign(instance: Instance, selection: Selection) -> Assignment:
     "Least loaded" means smallest ``load - capacity``; ties go to the
     lowest knapsack index, and equally heavy items keep ascending index.
     """
-    items = sorted(
-        (j for l in selection.indices() for j in instance.groups[l]),
-        key=lambda j: (-instance.item_weights[j], j),
-    )
     placement: list = [None] * instance.n
     loads = [0] * instance.m
     heap = [(-c, i) for i, c in enumerate(instance.capacities)]
     heapq.heapify(heap)
-    for j in items:
+    for j in heaviest_first(instance, selection):
         overload, i = heapq.heappop(heap)
         placement[j] = i
         loads[i] += instance.item_weights[j]
@@ -62,7 +66,7 @@ def swap_optimal(instance: Instance, assignment: Assignment) -> Assignment:
 
     Each accepted move lowers the non-negative integer phi by at least 2,
     so at most ``phi0 // 2`` moves happen from a start at ``phi0``; one more
-    raises ``GmkpError``, a logic error made loud instead of a hang.
+    raises ``AssertionError``, a logic error made loud instead of a hang.
     """
     placed = [j for j, i in enumerate(assignment.placement) if i is not None]
     if not placed:
@@ -83,7 +87,7 @@ def swap_optimal(instance: Instance, assignment: Assignment) -> Assignment:
                 break
         moves += 1
         if moves > max_moves:
-            raise GmkpError("swap-optimal move bound exceeded")
+            raise AssertionError("swap-optimal move bound exceeded")
         for j, dst in move:
             w = weights[j]
             over[placement[j]] -= w

@@ -34,7 +34,7 @@ from .model import (
     GmkpError,
     InconsistentSolutionError,
     Instance,
-    normalize,
+    normalize,  # noqa: F401  not called here; bench/tracing.py times cli.normalize
     validate,
 )
 
@@ -146,11 +146,9 @@ def dump_json(doc: dict, path) -> None:
 
 
 def result_to_json(result: pipeline.SolveResult, instance: Instance) -> dict:
-    assignment = []
-    for l, g in enumerate(instance.groups):
-        for pos, j in enumerate(g):
-            if result.assignment.placement[j] is not None:
-                assignment.append([l, pos, result.assignment.placement[j]])
+    slots = [(l, pos) for l, g in enumerate(instance.group_items) for pos in range(len(g))]
+    assignment = [[l, pos, i] for (l, pos), i in zip(slots, result.assignment.placement)
+                  if i is not None]
     return {
         "schema": RESULT_SCHEMA,
         "algorithm": result.algorithm,
@@ -222,11 +220,6 @@ def run_named_algo(
 # -------------------------------------------------------------- subcommands
 
 
-def _load(path) -> Instance:
-    """Read, validate and normalize one instance file."""
-    return normalize(load_instance(path))
-
-
 def _emit(doc: dict, out: Optional[str]) -> None:
     """Write a JSON document to ``out``, or to standard output without one."""
     if out:
@@ -274,7 +267,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    inst = _load(args.instance)
+    inst = load_instance(args.instance)
     result = run_named_algo(inst, args.algo, swap_opt=args.swap_opt, d_set_text=args.d_set,
                             total_capacity=args.total_capacity, node_budget=args.node_budget)
     _emit(result_to_json(result, inst), args.out)
@@ -282,7 +275,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_feasible(args) -> int:
-    inst = _load(args.instance)
+    inst = load_instance(args.instance)
     variant, d_set = resolve_algo(inst, args.algo, args.d_set)
     search = heuristics.binary_search_feasible(
         inst, variant, swap_opt=not args.no_swap_opt, d_set=d_set, node_budget=args.node_budget
@@ -295,7 +288,7 @@ def cmd_feasible(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    inst = _load(args.instance)
+    inst = load_instance(args.instance)
     variant, d_set = resolve_algo(inst, args.algo, args.d_set)
     factors = (
         _fractions(args.factors, "--factors")
@@ -303,7 +296,8 @@ def cmd_sweep(args) -> int:
         else list(heuristics.DEFAULT_SWEEP_FACTORS)
     )
     entries = heuristics.capacity_sweep(
-        inst, variant, factors=factors, swap_opt=not args.no_swap_opt, d_set=d_set
+        inst, variant, factors=factors, swap_opt=not args.no_swap_opt, d_set=d_set,
+        node_budget=args.node_budget,
     )
     frontier = heuristics.pareto_frontier([e.result for e in entries if e.result])
     frontier_ids = {id(r) for r in frontier}
@@ -324,11 +318,15 @@ def cmd_sweep(args) -> int:
                     ]
                 )
     print(f"wrote {len(entries)} sweep rows to {args.out}")
+    failures = sum(e.result is None for e in entries)
+    if failures:
+        print(f"error: {failures} of {len(entries)} sweep rows failed", file=sys.stderr)
+        return EXIT_BUDGET
     return EXIT_OK
 
 
 def cmd_exact(args) -> int:
-    inst = _load(args.instance)
+    inst = load_instance(args.instance)
     value, selection, assignment = oracle.exact_gmkp(inst, node_budget=args.node_budget)
     _emit(
         {
@@ -347,7 +345,7 @@ def cmd_exact(args) -> int:
 def _bench_one(path: Path, algo: str, swap_opt: bool, node_budget) -> list:
     """One bench row; an input or budget failure becomes a labelled error row."""
     try:
-        inst = _load(path)
+        inst = load_instance(path)
         t0 = time.perf_counter()
         result = run_named_algo(inst, algo, swap_opt=swap_opt, node_budget=node_budget)
         dt = (time.perf_counter() - t0) * 1000.0
@@ -375,6 +373,8 @@ def cmd_bench(args) -> int:
     for a in algos:
         if a not in ALGO_CHOICES:
             raise CliInputError(f"unknown algorithm {a!r}")
+        if a == "mkpd":
+            raise CliInputError("bench takes no --d-set, so it cannot run mkpd")
     rows = [_bench_one(p, a, args.swap_opt, args.node_budget) for p in paths for a in algos]
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -433,10 +433,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--d-set", default=None,
                        help="thresholds for --algo mkpd only: comma-separated "
                             "fractions (e.g. 100/2,100/3) or 'canonical'")
+        p.add_argument("--node-budget", type=_node_budget, default=None)
 
     p = sub.add_parser("solve", help="run one algorithm on one instance")
     add_algo_args(p, ALGO_CHOICES, "3mkp")
-    p.add_argument("--node-budget", type=_node_budget, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--total-capacity", type=int, default=None)
     p.add_argument("--swap-opt", action="store_true")
@@ -444,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("feasible", help="binary-search a capacity-feasible solution")
     add_algo_args(p, SINGLE_ALGOS, "3mkp")
-    p.add_argument("--node-budget", type=_node_budget, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--no-swap-opt", action="store_true")
     p.set_defaults(func=cmd_feasible)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, pairwise
 from typing import Optional
 
 # Rewards and weights are bounded so that sums never overflow 64 bits.
@@ -48,8 +47,6 @@ class Instance:
         Opaque provenance string (seed, generator name, ...).
     item_weights : tuple[int, ...]
         Derived: every item weight, group-major.
-    groups : tuple[tuple[int, ...], ...]
-        Derived: the item indices of each group, consecutive and ascending.
     """
 
     capacities: tuple[int, ...]
@@ -57,7 +54,6 @@ class Instance:
     rewards: tuple[int, ...]
     meta: str = ""
     item_weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    groups: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         group_items = tuple(tuple(int(w) for w in g) for g in self.group_items)
@@ -66,9 +62,7 @@ class Instance:
         object.__setattr__(self, "rewards", tuple(int(p) for p in self.rewards))
         if len(self.rewards) != len(group_items):
             raise ValueError("one reward per group required")
-        bounds = pairwise(accumulate(map(len, group_items), initial=0))
         object.__setattr__(self, "item_weights", tuple(w for g in group_items for w in g))
-        object.__setattr__(self, "groups", tuple(tuple(range(a, b)) for a, b in bounds))
 
     @property
     def m(self) -> int:
@@ -80,7 +74,7 @@ class Instance:
 
     @property
     def k(self) -> int:
-        return len(self.groups)
+        return len(self.group_items)
 
     @property
     def c_max(self) -> int:
@@ -223,6 +217,9 @@ def normalize(instance: Instance) -> Instance:
     weighing more than the remaining total capacity is removed.  Each removal
     can enable the other, so the two rules iterate until stable.  Returns the
     survivors in their order, or ``instance`` itself when nothing is dropped.
+    It drops nothing from an instance that passes ``validate``, whose
+    ``smallest-knapsack``, ``group-fits-total`` and ``knapsack-count`` rules
+    reject all it would change, so loading an instance file skips it.
 
     Raises ``GmkpError`` if fewer than two knapsacks survive.
     """
@@ -258,17 +255,13 @@ def metrics(instance: Instance, selection: Selection, assignment: Assignment) ->
     exactly the items of the chosen groups, or when the cached loads are
     stale.
     """
-    placed_loads = [0] * instance.m
-    for l, g in enumerate(instance.groups):
-        for j in g:
-            spot = assignment.placement[j]
-            if selection.chosen[l] and spot is None:
-                raise InconsistentSolutionError(f"item {j} of chosen group {l} unplaced")
-            if not selection.chosen[l] and spot is not None:
-                raise InconsistentSolutionError(f"item {j} of unchosen group {l} placed")
-            if spot is not None:
-                placed_loads[spot] += instance.item_weights[j]
-    if tuple(placed_loads) != assignment.loads:
+    owners = [l for l, g in enumerate(instance.group_items) for _ in g]
+    for j, (l, spot) in enumerate(zip(owners, assignment.placement, strict=True)):
+        if selection.chosen[l] and spot is None:
+            raise InconsistentSolutionError(f"item {j} of chosen group {l} unplaced")
+        if not selection.chosen[l] and spot is not None:
+            raise InconsistentSolutionError(f"item {j} of unchosen group {l} placed")
+    if Assignment.build(instance, assignment.placement).loads != assignment.loads:
         raise InconsistentSolutionError("stored loads disagree with placements")
 
     return BiCriteriaMetrics(

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .assign import heaviest_first
 from .model import (
     Assignment,
     BudgetExceededError,
@@ -49,10 +50,7 @@ def feasible_packing(
 
 def _packing(instance: Instance, selection: Selection, budget: _Budget) -> Optional[Assignment]:
     """``feasible_packing`` with each search node ticked on ``budget``."""
-    items = sorted(
-        (j for l in selection.indices() for j in instance.groups[l]),
-        key=lambda j: (-instance.item_weights[j], j),
-    )
+    items = heaviest_first(instance, selection)
     if not items:
         return Assignment.empty(instance)
     residual = list(instance.capacities)

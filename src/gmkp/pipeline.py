@@ -121,14 +121,6 @@ def powers_of_common_base(values: Iterable[int]) -> Optional[int]:
     return None
 
 
-@dataclass(frozen=True)
-class GuaranteeReport:
-    beta_bound: Optional[Fraction]
-    beta_ok: Optional[bool]
-    alpha_ok: Optional[bool]
-    violations: tuple[str, ...]
-
-
 def beta_bound_for(
     instance: Instance, variant: str, d_set: Optional[Iterable[Fraction]] = None
 ) -> Optional[Fraction]:
@@ -163,35 +155,3 @@ def beta_bound_for(
             return Fraction(0)
         return Fraction(1)
     return None
-
-
-def check_guarantees(
-    result: SolveResult,
-    instance: Instance,
-    oracle_reward: Optional[int] = None,
-    d_set: Optional[Iterable[Fraction]] = None,
-) -> GuaranteeReport:
-    """Compare one run against its theorem-backed bounds; report, never raise."""
-    violations: list[str] = []
-    bound = beta_bound_for(instance, result.algorithm, d_set=d_set)
-    beta_ok = None
-    if bound is not None:
-        beta_ok = Fraction(result.metrics.max_exceeded) <= bound * instance.c_max
-        if not beta_ok:
-            violations.append(
-                f"overload {result.metrics.max_exceeded} exceeds "
-                f"{bound} * c_max = {bound * instance.c_max}"
-            )
-    alpha_ok = None
-    if oracle_reward is not None:
-        alpha_ok = result.metrics.reward >= oracle_reward
-        if not alpha_ok:
-            violations.append(
-                f"reward {result.metrics.reward} below optimum {oracle_reward}"
-            )
-    return GuaranteeReport(
-        beta_bound=bound,
-        beta_ok=beta_ok,
-        alpha_ok=alpha_ok,
-        violations=tuple(violations),
-    )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import accumulate, pairwise
 
 import pytest
 
@@ -62,6 +63,12 @@ def random_small_instance(
 def make(caps, weights, groups, rewards) -> Instance:
     """An instance whose group ``l`` holds the items ``weights[j]``, ``j`` in ``groups[l]``."""
     return Instance(caps, [[weights[j] for j in g] for g in groups], rewards)
+
+
+def group_ranges(instance: Instance) -> list[range]:
+    """The item indices of each group: consecutive, since items are numbered group-major."""
+    bounds = pairwise(accumulate(map(len, instance.group_items), initial=0))
+    return [range(a, b) for a, b in bounds]
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from gmkp import gen, pipeline
 from gmkp.assign import greedy_assign, swap_optimal
 from gmkp.model import Assignment, GmkpError, Selection
-from conftest import make, random_small_instance
+from conftest import group_ranges, make, random_small_instance
 
 
 def potential(instance, loads):
@@ -136,7 +136,7 @@ def reference_swap_optimal(instance, assignment):
 def random_assignment(rng, instance, selection):
     placement = [None] * instance.n
     for l in selection.indices():
-        for j in instance.groups[l]:
+        for j in group_ranges(instance)[l]:
             placement[j] = rng.randrange(instance.m)
     return Assignment.build(instance, placement)
 

@@ -169,7 +169,7 @@ class TestSolve:
         inst, _ = sample
         for l, pos, i in doc["assignment"]:
             assert l in doc["selection"]
-            assert 0 <= pos < len(inst.groups[l]) and 0 <= i < inst.m
+            assert 0 <= pos < len(inst.group_items[l]) and 0 <= i < inst.m
 
     @pytest.mark.parametrize("to_file", [False, True])
     def test_solve_leaves_no_reference_cycles(self, noisy, tmp_path, capsys, to_file):
@@ -245,6 +245,15 @@ class TestSolve:
         assert main(["solve", str(path), "--algo", "100mkp", "--out", str(out)]) == EXIT_OK
         assert json.loads(out.read_text())["algorithm"] == "mkpd"
 
+    def test_broken_swap_opt_bound_exits_4(self, sample, monkeypatch, capsys):
+        def ping_pong(placed, placement, weights, over, lo, hi):
+            j = placed[0]
+            return ((j, 1 - placement[j]),)  # back and forth between the two knapsacks
+
+        monkeypatch.setattr(assign, "_first_jump", ping_pong)
+        assert main(["solve", str(sample[1]), "--algo", "3mkp", "--swap-opt"]) == EXIT_INTERNAL
+        assert "swap-optimal move bound exceeded" in capsys.readouterr().err
+
     def test_best_algo(self, sample, tmp_path):
         _, path = sample
         out = tmp_path / "r.json"
@@ -288,6 +297,16 @@ class TestSweep:
         with out.open() as fh:
             rows = list(csv.DictReader(fh))
         assert [r["factor"] for r in rows] == ["1/2", "1"]
+
+    def test_budget_failure_writes_rows_then_exits_3(self, noisy, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", str(noisy), "--node-budget", "0", "--out", str(out)]
+        assert main(argv) == EXIT_BUDGET
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 11
+        assert all(r["dominated"].startswith("error:node budget") for r in rows)
+        assert "11 of 11 sweep rows failed" in capsys.readouterr().err
 
     def test_internal_error_exits_4(self, sample, tmp_path, monkeypatch, capsys):
         def planted(instance, assignment):
@@ -373,11 +392,19 @@ class TestBench:
         assert main(argv + ["--algos", "kp"]) == EXIT_BUDGET
         with out.open() as fh:
             assert next(csv.DictReader(fh))["time_ms"].startswith("error:budget:")
-        assert main(argv + ["--algos", "lp,mkpd"]) == EXIT_INPUT
+        (noisy.parent / "inst_zbad.json").write_text("{not json")
+        assert main(argv + ["--algos", "lp"]) == EXIT_INPUT
         with out.open() as fh:
             rows = list(csv.DictReader(fh))
         assert rows[0]["time_ms"] != "" and not rows[0]["time_ms"].startswith("error:")
         assert rows[1]["time_ms"].startswith("error:input:")
+
+    def test_mkpd_rejected_before_any_row(self, noisy, tmp_path, capsys):
+        # bench takes no --d-set, which mkpd needs
+        out = tmp_path / "b.csv"
+        argv = ["bench", "--instances", str(noisy.parent), "--algos", "lp,mkpd", "--out", str(out)]
+        assert main(argv) == EXIT_INPUT
+        assert not out.exists()
 
     def test_empty_dir_is_input_error(self, tmp_path, capsys):
         empty = tmp_path / "none"
@@ -413,9 +440,11 @@ class TestBench:
         ["generate", "--count", "1", "--out-dir", "{inst}"],
         ["solve", "{inst}", "--algo", "kp", "--node-budget", "-5"],
         ["feasible", "{inst}", "--node-budget", "-1"],
+        ["sweep", "{inst}", "--node-budget", "-1", "--out", "{out}"],
         ["exact", "{inst}", "--node-budget", "-1"],
         ["bench", "--instances", "{dir}", "--algos", "lp", "--node-budget", "-1",
          "--out", "{out}"],
+        ["bench", "--instances", "{dir}", "--algos", "mkpd", "--out", "{out}"],
         ["solve", "{deep}"],
         ["solve", "{deep_meta}"],
     ],
@@ -426,7 +455,7 @@ class TestBench:
          "count-zero", "count-negative", "capacity-zero",
          "solve-out-missing-dir", "sweep-out-missing-dir", "bench-out-missing-dir",
          "out-dir-is-a-file", "solve-negative-budget", "feasible-negative-budget",
-         "exact-negative-budget", "bench-negative-budget", "deep-nesting", "deep-meta"],
+         "sweep-negative-budget", "exact-negative-budget", "bench-negative-budget", "bench-mkpd", "deep-nesting", "deep-meta"],
 )
 def test_input_error_exits_2_without_traceback(argv, sample, noisy, tmp_path):
     no_groups, text_weight = tmp_path / "no_groups.json", tmp_path / "text_weight.json"
@@ -479,9 +508,7 @@ def instance_shaped(draw):
 def test_any_document_keeps_the_exit_code_contract(doc, command, tmp_path, capsys):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    argv = [command, str(path), "--out", str(tmp_path / "out")]
-    if command != "sweep":
-        argv += ["--node-budget", "2000"]
+    argv = [command, str(path), "--out", str(tmp_path / "out"), "--node-budget", "2000"]
     # 4 flags a broken internal invariant, which no document may reach
     assert main(argv) in (EXIT_OK, EXIT_INPUT, EXIT_BUDGET)
     capsys.readouterr()

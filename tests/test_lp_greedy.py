@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gmkp.lp_greedy import greedy_lp, sort_groups
 from gmkp.oracle import exact_gmkp
-from conftest import make, random_small_instance
+from conftest import group_ranges, make, random_small_instance
 
 
 def pour(inst, z):
@@ -21,7 +21,7 @@ def pour(inst, z):
     x = {}
     i, room = 0, Fraction(inst.capacities[0])
     for l in sort_groups(inst):
-        for j in inst.groups[l]:
+        for j in group_ranges(inst)[l]:
             weight = z[l] * inst.item_weights[j]
             while weight > 0:
                 assert i < inst.m, "knapsacks exhausted before the selection is placed"
@@ -101,7 +101,7 @@ class TestGreedyLp:
             for i in range(inst.m):
                 assert loads[i] <= inst.capacities[i]
             for l in range(inst.k):
-                for j in inst.groups[l]:
+                for j in group_ranges(inst)[l]:
                     assert placed[j] == frac.z[l]
 
     def test_sparse_x(self):

@@ -74,14 +74,14 @@ class TestNormalize:
         inst = make([1, 5, 5], [3, 2], [(0, 1)], [5])
         out = normalize(inst)
         assert out.capacities == (5, 5)
-        assert (out.item_weights, out.groups, out.rewards) == ((3, 2), ((0, 1),), (5,))
+        assert (out.item_weights, out.group_items, out.rewards) == ((3, 2), ((3, 2),), (5,))
 
     def test_oversized_group_removed_and_items_compacted(self):
         inst = make([5, 5], [9, 9, 2], [(0, 1), (2,)], [18, 2])
         out = normalize(inst)
         assert out.capacities == (5, 5)
         assert out.item_weights == (2,)
-        assert out.groups == ((0,),)
+        assert out.group_items == ((2,),)
         assert out.rewards == (2,)
 
     def test_cascade_to_fixed_point(self):
@@ -89,7 +89,7 @@ class TestNormalize:
         inst = make([2, 6, 6], [13, 4, 4], [(0,), (1,), (2,)], [13, 4, 4])
         out = normalize(inst)
         assert out.capacities == (6, 6)
-        assert (out.item_weights, out.groups, out.rewards) == ((4, 4), ((0,), (1,)), (4, 4))
+        assert (out.item_weights, out.group_items, out.rewards) == ((4, 4), ((4,), (4,)), (4, 4))
 
     def test_too_few_knapsacks_raises(self):
         inst = make([1, 5], [3], [(0,)], [3])
@@ -153,3 +153,19 @@ def test_normalize_preserves_surviving_data(seed):
     kept = [(p, g) for p, g in zip(inst.rewards, inst.group_items) if sum(g) <= out.total_capacity]
     assert list(zip(out.rewards, out.group_items)) == kept
     assert validate(out) == []
+
+
+SMALL = st.integers(-2, 12)
+
+
+@given(
+    caps=st.lists(SMALL, min_size=1, max_size=4),
+    groups=st.lists(st.tuples(SMALL, st.lists(SMALL, min_size=1, max_size=3)), max_size=4),
+)
+@settings(max_examples=500, deadline=None)
+def test_normalize_keeps_every_valid_instance(caps, groups):
+    # the CLI loads without normalizing: validate already rejects whatever
+    # normalize would drop (smallest-knapsack, group-fits-total, knapsack-count)
+    inst = Instance(caps, [items for _, items in groups], [p for p, _ in groups])
+    if validate(inst) == []:
+        assert normalize(inst) is inst

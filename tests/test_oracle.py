@@ -8,12 +8,12 @@ import pytest
 from gmkp.model import BudgetExceededError, Selection
 from gmkp.oracle import enumerate_feasible_z, exact_gmkp, feasible_packing
 from gmkp.subset_select import SelectionProblem
-from conftest import make, random_small_instance
+from conftest import group_ranges, make, random_small_instance
 
 
 def packable_by_enumeration(instance, selection):
     """Ground truth by trying every placement (m^n, tiny inputs only)."""
-    items = [j for l in selection.indices() for j in instance.groups[l]]
+    items = [j for l in selection.indices() for j in group_ranges(instance)[l]]
     if not items:
         return True
     for combo in itertools.product(range(instance.m), repeat=len(items)):
@@ -38,7 +38,7 @@ class TestFeasiblePacking:
             if packed is not None:
                 assert packed.max_exceeded(inst) <= 0
                 for l in range(inst.k):
-                    for j in inst.groups[l]:
+                    for j in group_ranges(inst)[l]:
                         assert (packed.placement[j] is not None) == sel.chosen[l]
             checked += 1
 
@@ -102,7 +102,7 @@ class TestExactGmkp:
             inst = random_small_instance(rng, max_m=3, max_k=5, max_n=8)
             v_star, sel, asg = exact_gmkp(inst)
             placed = {j for j in range(inst.n) if asg.placement[j] is not None}
-            expected = {j for l in sel.indices() for j in inst.groups[l]}
+            expected = {j for l in sel.indices() for j in group_ranges(inst)[l]}
             assert placed == expected
 
 

@@ -10,7 +10,6 @@ from gmkp.oracle import exact_gmkp
 from gmkp.pipeline import (
     ALL_VARIANTS,
     beta_bound_for,
-    check_guarantees,
     hundred_mkp_d_set,
     powers_of_common_base,
     run_algorithm,
@@ -130,12 +129,5 @@ class TestCheckGuarantees:
             inst = random_small_instance(rng)
             v_star, _, _ = exact_gmkp(inst)
             res = run_algorithm(inst, "2mkp")
-            rep = check_guarantees(res, inst, oracle_reward=v_star)
-            assert rep.beta_ok and rep.alpha_ok and rep.violations == ()
-
-    def test_reports_violation_without_raising(self):
-        inst = make([5, 5], [3, 2], [(0, 1)], [5])
-        res = run_algorithm(inst, "kp")
-        rep = check_guarantees(res, inst, oracle_reward=res.metrics.reward + 1)
-        assert rep.alpha_ok is False
-        assert any("below optimum" in v for v in rep.violations)
+            assert res.metrics.max_exceeded <= beta_bound_for(inst, "2mkp") * inst.c_max
+            assert res.metrics.reward >= v_star
