@@ -3,16 +3,17 @@
 from __future__ import annotations
 
 import heapq
-from itertools import accumulate, pairwise
+from itertools import accumulate
 
 from .model import Assignment, Instance, Selection
 
 
 def heaviest_first(instance: Instance, selection: Selection) -> list[int]:
     """The chosen groups' items, heaviest first; equally heavy items keep ascending index."""
-    bounds = pairwise(accumulate(map(len, instance.group_items), initial=0))
-    items = [j for (a, b), on in zip(bounds, selection.chosen) if on for j in range(a, b)]
-    return sorted(items, key=lambda j: (-instance.item_weights[j], j))
+    starts = list(accumulate(map(len, instance.group_items), initial=0))
+    items = [j for l in selection.indices() for j in range(starts[l], starts[l + 1])]
+    # the sort is stable, with reverse=True too, so equal weights keep ascending index
+    return sorted(items, key=instance.item_weights.__getitem__, reverse=True)
 
 
 def greedy_assign(instance: Instance, selection: Selection) -> Assignment:

@@ -6,6 +6,7 @@ File formats:
                   "meta": {...}}
   result JSON    {"schema": "gmkp-result/1", ...}
   sweep CSV      schema,factor,reward,max_exceeded,dominated
+                 (dominated reads error:budget:<msg> on a failed row)
   bench CSV      schema,instance,algo,reward,max_exceeded,time_ms
                  (time_ms reads error:input:<msg> or error:budget:<msg> on a
                  failed row)
@@ -25,6 +26,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -146,9 +148,11 @@ def dump_json(doc: dict, path) -> None:
 
 
 def result_to_json(result: pipeline.SolveResult, instance: Instance) -> dict:
-    slots = [(l, pos) for l, g in enumerate(instance.group_items) for pos in range(len(g))]
-    assignment = [[l, pos, i] for (l, pos), i in zip(slots, result.assignment.placement)
-                  if i is not None]
+    # ``metrics`` has checked that the placed items are exactly the chosen groups' items
+    starts = list(accumulate(map(len, instance.group_items), initial=0))
+    placement = result.assignment.placement
+    assignment = [[l, pos, i] for l in result.selection.indices()
+                  for pos, i in enumerate(placement[starts[l]:starts[l + 1]])]
     return {
         "schema": RESULT_SCHEMA,
         "algorithm": result.algorithm,
@@ -306,7 +310,7 @@ def cmd_sweep(args) -> int:
         writer.writerow(["schema", "factor", "reward", "max_exceeded", "dominated"])
         for e in entries:
             if e.result is None:
-                writer.writerow([SWEEP_SCHEMA, str(e.factor), "", "", f"error:{e.error}"])
+                writer.writerow([SWEEP_SCHEMA, str(e.factor), "", "", f"error:budget:{e.error}"])
             else:
                 writer.writerow(
                     [

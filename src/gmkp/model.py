@@ -255,12 +255,15 @@ def metrics(instance: Instance, selection: Selection, assignment: Assignment) ->
     exactly the items of the chosen groups, or when the cached loads are
     stale.
     """
-    owners = [l for l, g in enumerate(instance.group_items) for _ in g]
-    for j, (l, spot) in enumerate(zip(owners, assignment.placement, strict=True)):
-        if selection.chosen[l] and spot is None:
-            raise InconsistentSolutionError(f"item {j} of chosen group {l} unplaced")
-        if not selection.chosen[l] and spot is not None:
-            raise InconsistentSolutionError(f"item {j} of unchosen group {l} placed")
+    wanted = [on for on, g in zip(selection.chosen, instance.group_items) for _ in g]
+    placed = [i is not None for i in assignment.placement]
+    if placed != wanted:
+        owners = [l for l, g in enumerate(instance.group_items) for _ in g]
+        for j, (l, on, spot) in enumerate(zip(owners, wanted, placed, strict=True)):
+            if on and not spot:
+                raise InconsistentSolutionError(f"item {j} of chosen group {l} unplaced")
+            if spot and not on:
+                raise InconsistentSolutionError(f"item {j} of unchosen group {l} placed")
     if Assignment.build(instance, assignment.placement).loads != assignment.loads:
         raise InconsistentSolutionError("stored loads disagree with placements")
 

@@ -305,7 +305,7 @@ class TestSweep:
         with out.open() as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 11
-        assert all(r["dominated"].startswith("error:node budget") for r in rows)
+        assert all(r["dominated"].startswith("error:budget:node budget") for r in rows)
         assert "11 of 11 sweep rows failed" in capsys.readouterr().err
 
     def test_internal_error_exits_4(self, sample, tmp_path, monkeypatch, capsys):
@@ -455,7 +455,8 @@ class TestBench:
          "count-zero", "count-negative", "capacity-zero",
          "solve-out-missing-dir", "sweep-out-missing-dir", "bench-out-missing-dir",
          "out-dir-is-a-file", "solve-negative-budget", "feasible-negative-budget",
-         "sweep-negative-budget", "exact-negative-budget", "bench-negative-budget", "bench-mkpd", "deep-nesting", "deep-meta"],
+         "sweep-negative-budget", "exact-negative-budget", "bench-negative-budget", "bench-mkpd",
+         "deep-nesting", "deep-meta"],
 )
 def test_input_error_exits_2_without_traceback(argv, sample, noisy, tmp_path):
     no_groups, text_weight = tmp_path / "no_groups.json", tmp_path / "text_weight.json"
