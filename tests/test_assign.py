@@ -135,8 +135,9 @@ def reference_swap_optimal(instance, assignment):
 
 def random_assignment(rng, instance, selection):
     placement = [None] * instance.n
+    ranges = group_ranges(instance)
     for l in selection.indices():
-        for j in group_ranges(instance)[l]:
+        for j in ranges[l]:
             placement[j] = rng.randrange(instance.m)
     return Assignment.build(instance, placement)
 

@@ -20,8 +20,9 @@ def pour(inst, z):
     """
     x = {}
     i, room = 0, Fraction(inst.capacities[0])
+    ranges = group_ranges(inst)
     for l in sort_groups(inst):
-        for j in group_ranges(inst)[l]:
+        for j in ranges[l]:
             weight = z[l] * inst.item_weights[j]
             while weight > 0:
                 assert i < inst.m, "knapsacks exhausted before the selection is placed"
@@ -100,8 +101,8 @@ class TestGreedyLp:
                 placed[j] += share
             for i in range(inst.m):
                 assert loads[i] <= inst.capacities[i]
-            for l in range(inst.k):
-                for j in group_ranges(inst)[l]:
+            for l, g in enumerate(group_ranges(inst)):
+                for j in g:
                     assert placed[j] == frac.z[l]
 
     def test_sparse_x(self):

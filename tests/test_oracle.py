@@ -13,7 +13,8 @@ from conftest import group_ranges, make, random_small_instance
 
 def packable_by_enumeration(instance, selection):
     """Ground truth by trying every placement (m^n, tiny inputs only)."""
-    items = [j for l in selection.indices() for j in group_ranges(instance)[l]]
+    ranges = group_ranges(instance)
+    items = [j for l in selection.indices() for j in ranges[l]]
     if not items:
         return True
     for combo in itertools.product(range(instance.m), repeat=len(items)):
@@ -37,8 +38,8 @@ class TestFeasiblePacking:
             assert (packed is not None) == truth
             if packed is not None:
                 assert packed.max_exceeded(inst) <= 0
-                for l in range(inst.k):
-                    for j in group_ranges(inst)[l]:
+                for l, g in enumerate(group_ranges(inst)):
+                    for j in g:
                         assert (packed.placement[j] is not None) == sel.chosen[l]
             checked += 1
 
@@ -102,7 +103,8 @@ class TestExactGmkp:
             inst = random_small_instance(rng, max_m=3, max_k=5, max_n=8)
             v_star, sel, asg = exact_gmkp(inst)
             placed = {j for j in range(inst.n) if asg.placement[j] is not None}
-            expected = {j for l in sel.indices() for j in group_ranges(inst)[l]}
+            ranges = group_ranges(inst)
+            expected = {j for l in sel.indices() for j in ranges[l]}
             assert placed == expected
 
 
