@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from . import pipeline
+from . import pipeline, subset_select
 from .model import Assignment, BudgetExceededError, Instance, Selection, metrics
 from .pipeline import SolveResult
 
@@ -24,6 +24,15 @@ def _empty_result(instance: Instance, algorithm: str) -> SolveResult:
         timings_ms={},
         swap_opt_applied=False,
     )
+
+
+def _shared_problem(
+    instance: Instance, variant: str, top: int, d_set: Optional[Iterable[Fraction]]
+) -> Optional[subset_select.SelectionProblem]:
+    """The selection problem every probe of one heuristic call solves; none for ``lp``."""
+    if variant == pipeline.VARIANT_LP:
+        return None
+    return subset_select.build_problem(instance, variant, total_capacity=top, d_set=d_set)
 
 
 @dataclass(frozen=True)
@@ -48,8 +57,11 @@ def binary_search_feasible(
     solution.  Each probe halves the interval, so at most
     ``(total_capacity + 1).bit_length()`` probes run.  A probe's solver
     error (an exhausted ``node_budget``, say) propagates to the caller.
+    The selection problem is built once, at ``total_capacity``, and every
+    probe solves it at its own budget.
     """
     left, right = 0, instance.total_capacity
+    problem = _shared_problem(instance, variant, right, d_set)
     incumbent = _empty_result(instance, variant)
     probes = 0
     while left <= right:
@@ -62,6 +74,7 @@ def binary_search_feasible(
             total_capacity=mid,
             d_set=d_set,
             node_budget=node_budget,
+            problem=None if problem is None else problem.at(mid),
         )
         if res.metrics.max_exceeded <= 0:
             if res.metrics.reward >= incumbent.metrics.reward:
@@ -91,14 +104,19 @@ def capacity_sweep(
 
     A factor whose run exhausts ``node_budget`` becomes an error entry; any
     other error, an internal invariant violation among them, propagates.
+    The selection problem is built once, at the largest budget, and made at
+    every budget before the first run, so the weight DP's forward pass is
+    built once, at the largest budget it takes.
     """
     factors = [Fraction(f) for f in factors]
     if any(f <= 0 for f in factors):
         raise ValueError("factors must be positive")
     cap_sum = instance.total_capacity
+    budgets = [int(f * cap_sum) for f in factors]  # floor
+    problem = _shared_problem(instance, variant, max(budgets, default=0), d_set)
+    probes = [None if problem is None else problem.at(b) for b in budgets]
     out: list[SweepEntry] = []
-    for f in factors:
-        budget = int(f * cap_sum)  # floor
+    for f, budget, probe in zip(factors, budgets, probes):
         try:
             res = pipeline.run_algorithm(
                 instance,
@@ -107,6 +125,7 @@ def capacity_sweep(
                 total_capacity=budget,
                 d_set=d_set,
                 node_budget=node_budget,
+                problem=probe,
             )
             out.append(SweepEntry(factor=f, result=res))
         except BudgetExceededError as exc:

@@ -45,23 +45,28 @@ def run_algorithm(
     total_capacity: Optional[int] = None,
     d_set: Optional[Iterable[Fraction]] = None,
     node_budget: Optional[int] = None,
+    problem: Optional[subset_select.SelectionProblem] = None,
 ) -> SolveResult:
     """Select groups with the chosen relaxation, then place their items.
 
     The ``lp`` variant selects every group with a positive fraction in the
     greedy continuous solution; all other variants solve their selection
     subproblem exactly.  ``total_capacity`` overrides the aggregate
-    budget only (cut rows keep their own right-hand sides).
+    budget only (cut rows keep their own right-hand sides).  ``problem`` is
+    that subproblem when the caller has built it already (``SelectionProblem.at``
+    makes one per budget); otherwise it is built here.
     """
     t0 = time.perf_counter()
     if variant == VARIANT_LP:
         frac = lp_greedy.greedy_lp(instance, total_capacity=total_capacity)
         selection = Selection(tuple(zl > 0 for zl in frac.z))
     else:
-        problem = subset_select.build_problem(
-            instance, variant, total_capacity=total_capacity, d_set=d_set
-        )
+        if problem is None:
+            problem = subset_select.build_problem(
+                instance, variant, total_capacity=total_capacity, d_set=d_set
+            )
         selection = subset_select.solve_exact(problem, node_budget=node_budget)
+        del problem  # a problem built here frees its DP tables before placement
     t1 = time.perf_counter()
     assignment = assign.greedy_assign(instance, selection)
     t2 = time.perf_counter()

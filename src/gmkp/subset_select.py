@@ -7,7 +7,7 @@ be packed, without excluding any packable combination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, prod
 from typing import Iterable, Optional, Sequence
@@ -22,6 +22,81 @@ VARIANT_MKPD = "mkpd"
 VARIANT_MKP_PRIME = "mkpprime"
 
 
+class _Shared:
+    """The work of ``solve_exact`` that no row-0 budget changes.
+
+    One object serves a problem and every ``at`` made from it: the column
+    types and their branch order, the per-row ratio orders of the bound, and
+    the weight DP's forward pass.  ``budgets`` holds every row-0 budget that
+    the problem and its ``at`` copies were made at, so the forward pass is
+    built once, at the largest of them that the DP takes.
+    """
+
+    def __init__(self):
+        self.budgets: set[int] = set()
+        self.types: Optional[tuple] = None  # (keys, members, p_t, cnt, col)
+        self.ratio_orders: Optional[list[list[int]]] = None
+        self.tables: Optional[_WeightTables] = None
+
+    def column_types(self, problem: SelectionProblem) -> tuple:
+        """Duplicate columns collapsed into types, in branch order.
+
+        Groups with identical reward and row coefficients are
+        interchangeable; each type keeps the original indices of its
+        members.  Types go in non-increasing reward / row-0-coefficient
+        order, ties by first member.
+        """
+        if self.types is None:
+            rows = problem.rows
+            members: dict[tuple[int, ...], list[int]] = {}
+            for l, p in enumerate(problem.group_rewards):
+                members.setdefault((p,) + tuple(coeffs[l] for coeffs, _ in rows), []).append(l)
+            keys = sorted(
+                members,
+                key=lambda key: (
+                    ((0, -key[0]) if key[1] == 0 else (1, -Fraction(key[0], key[1]))),
+                    members[key][0],
+                ),
+            )
+            p_t = [key[0] for key in keys]
+            cnt = [len(members[key]) for key in keys]
+            col = [[key[1 + r] for key in keys] for r in range(len(rows))]
+            self.types = (keys, members, p_t, cnt, col)
+        return self.types
+
+    def bound_orders(self, p_t: list[int], col: list[list[int]]) -> list[list[int]]:
+        """Per row, the types by non-increasing reward / coefficient.
+
+        Zero-coefficient types come first: they add their full reward for free.
+        """
+        if self.ratio_orders is None:
+            self.ratio_orders = [
+                sorted(
+                    range(len(p_t)),
+                    key=lambda t: ((0, 0) if coeffs[t] == 0 else (1, -Fraction(p_t[t], coeffs[t]))),
+                )
+                for coeffs in col
+            ]
+        return self.ratio_orders
+
+    def weight_tables(
+        self, cnt: list[int], col: list[list[int]], rhs_list: list[int]
+    ) -> _WeightTables:
+        """Forward-pass tables that answer the row-0 budget ``rhs_list[0]``.
+
+        Built at the largest known budget at least ``rhs_list[0]`` whose
+        state space is within ``_WEIGHT_DP_LIMIT``, and rebuilt only for a
+        budget above the kept tables'.
+        """
+        budget = rhs_list[0]
+        if self.tables is None or self.tables.top < budget:
+            cut_space = prod(r + 1 for r in rhs_list[1:])
+            fitting = (b for b in self.budgets if (b + 1) * cut_space <= _WEIGHT_DP_LIMIT)
+            top = max((b for b in fitting if b >= budget), default=budget)
+            self.tables = _WeightTables(len(cnt), cnt, col, [top, *rhs_list[1:]])
+        return self.tables
+
+
 @dataclass(frozen=True)
 class SelectionProblem:
     """A 0/1 maximization over groups with non-negative integer rows.
@@ -32,10 +107,30 @@ class SelectionProblem:
 
     group_rewards: tuple[int, ...]
     rows: tuple[tuple[tuple[int, ...], int], ...]
+    _shared: _Shared = field(default_factory=_Shared, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.rows:
+            self._shared.budgets.add(self.rows[0][1])
 
     @property
     def k(self) -> int:
         return len(self.group_rewards)
+
+    def at(self, total_capacity: int) -> SelectionProblem:
+        """This problem with row 0's right-hand side set to ``total_capacity``.
+
+        The cut rows do not depend on the aggregate budget, so the result
+        shares with this problem, and with every other ``at`` of it, the
+        work ``solve_exact`` does for any budget; results are those of a
+        problem built at ``total_capacity``.
+        """
+        probe = SelectionProblem(
+            self.group_rewards, ((self.rows[0][0], total_capacity), *self.rows[1:])
+        )
+        object.__setattr__(probe, "_shared", self._shared)
+        self._shared.budgets.add(total_capacity)
+        return probe
 
     def feasible(self, chosen: Sequence[bool]) -> bool:
         for coeffs, rhs in self.rows:
@@ -151,14 +246,14 @@ def build_problem(
     return SelectionProblem(instance.rewards, (aggregate, *cuts.items()))
 
 
-def _greatest_weight_counts(
-    T: int, cnt: list[int], col: list[list[int]], rhs_list: list[int]
-) -> list[int]:
-    """Exact counts maximizing the row-0 total when rewards equal row-0 coefficients.
+class _WeightTables:
+    """The weight DP's forward pass at one row-0 budget ``top``.
 
-    Dynamic program over cut-row usage states; each state holds a bitset of
-    achievable row-0 totals (bit ``u`` set iff total ``u`` is reachable).
-    Polynomial in the state space times the row-0 right-hand side.
+    Dynamic program over cut-row usage states, for rewards equal to row-0
+    coefficients; each state holds a bitset of achievable row-0 totals (bit
+    ``u`` set iff total ``u`` is reachable).  Polynomial in the state space
+    times the row-0 right-hand side.  Keeps the table before types 0,
+    ``stride``, ``2 * stride``, ... and the final table.
 
     A state is keyed by one int.  Cut row ``r >= 1`` owns a field of
     ``k_r + 1`` bits, ``k_r = rhs_r.bit_length()``, holding
@@ -170,31 +265,44 @@ def _greatest_weight_counts(
     coefficients is a copy, and one mask test finds every overflow.  Int
     order on keys is tuple order on usages, so ties break as on tuples.
 
-    The backtrack reruns one ``stride``-type segment at a time from its kept
-    table, on keys.  At type ``u`` it caps ``q`` at ``cnt[u]``, ``u0 // c0``
-    and each decoded ``usage_r // c_r`` with ``c_r > 0``.  A larger ``q``
-    drives some total negative; up to the cap each field keeps
-    ``usage_r - q * c_r >= 0``, so no field borrows and ``key - q * delta[u]``
-    is the predecessor's key.  A type that does not fit gets cap 0.
+    The tables answer every budget ``B <= top``: coefficients are
+    non-negative, so a total at most ``B`` is reached only through partial
+    totals at most ``B``, and the table at ``B`` is this one with every bit
+    above ``B`` dropped and every emptied state removed.
     """
-    mask = (1 << (rhs_list[0] + 1)) - 1
-    # (shift, field mask, coefficients) per cut row, row 1 in the top bits.
-    fields = []
-    base_key = over = width = 0
-    for coeffs, rhs in zip(reversed(col[1:]), reversed(rhs_list[1:])):
-        k = rhs.bit_length()
-        fields.append((width, (1 << (k + 1)) - 1, coeffs))
-        base_key |= ((1 << k) - 1 - rhs) << width
-        over |= 1 << (width + k)
-        width += k + 1
-    fits = [all(c[t] <= rhs for c, rhs in zip(col, rhs_list)) for t in range(T)]
-    delta = [sum(c[t] << p for p, _, c in fields) for t in range(T)]
 
-    def apply_type(table: dict, t: int) -> dict:
-        if not fits[t]:
+    def __init__(self, T: int, cnt: list[int], col: list[list[int]], rhs_list: list[int]):
+        self.top = rhs_list[0]
+        self.cnt, self.col = cnt, col
+        # (shift, field mask, coefficients) per cut row, row 1 in the top bits.
+        self.fields = []
+        self.base_key = self.over = width = 0
+        for coeffs, rhs in zip(reversed(col[1:]), reversed(rhs_list[1:])):
+            k = rhs.bit_length()
+            self.fields.append((width, (1 << (k + 1)) - 1, coeffs))
+            self.base_key |= ((1 << k) - 1 - rhs) << width
+            self.over |= 1 << (width + k)
+            width += k + 1
+        self.fits = [all(c[t] <= rhs for c, rhs in zip(col[1:], rhs_list[1:])) for t in range(T)]
+        self.delta = [sum(c[t] << p for p, _, c in self.fields) for t in range(T)]
+
+        self.stride = max(1, -(-T // 16))
+        self.snapshots = []
+        mask = (1 << (self.top + 1)) - 1
+        table = {self.base_key: 1}
+        for t in range(T):
+            if t % self.stride == 0:
+                self.snapshots.append(table)
+            table = self.apply_type(table, t, mask)
+        self.final = table
+
+    def apply_type(self, table: dict, t: int, mask: int) -> dict:
+        """``table`` after the copies of type ``t``, totals cut to the bits of ``mask``."""
+        c0 = self.col[0][t]
+        if not self.fits[t] or not mask >> c0:
             return table
-        c0, d = col[0][t], delta[t]
-        for _ in range(cnt[t]):
+        d, over = self.delta[t], self.over
+        for _ in range(self.cnt[t]):
             new_table = dict(table)
             changed = False
             for s, bits in table.items():
@@ -211,22 +319,39 @@ def _greatest_weight_counts(
             table = new_table
         return table
 
-    stride = max(1, -(-T // 16))
-    snapshots = []  # the table before types 0, stride, 2 * stride, ...
-    table = {base_key: 1}
-    for t in range(T):
-        if t % stride == 0:
-            snapshots.append(table)
-        table = apply_type(table, t)
 
-    u0 = max(bits.bit_length() - 1 for bits in table.values())
-    key = min(s for s, bits in table.items() if (bits >> u0) & 1)
+def _greatest_weight_counts(tables: _WeightTables, budget: int) -> list[int]:
+    """Exact counts maximizing the row-0 total within ``budget <= tables.top``.
 
+    Takes ``u0``, the highest total at most ``budget`` in the final table,
+    and the least key holding it, then backtracks; no bit above ``u0`` is
+    read, so the answer is the one a forward pass at ``budget`` gives.
+
+    The backtrack reruns one ``stride``-type segment at a time at ``budget``,
+    from its kept table cut to ``budget``, on keys.  At type ``u`` it caps
+    ``q`` at ``cnt[u]``, ``u0 // c0`` and each decoded ``usage_r // c_r``
+    with ``c_r > 0``.  A larger ``q`` drives some total negative; up to the
+    cap each field keeps ``usage_r - q * c_r >= 0``, so no field borrows and
+    ``key - q * delta[u]`` is the predecessor's key.  A type that does not
+    fit gets cap 0.
+    """
+    if not 0 <= budget <= tables.top:
+        raise ValueError(f"budget {budget} outside the tables' range 0..{tables.top}")
+    below = (1 << (budget + 1)) - 1
+    final = tables.final
+    u0 = max((bits & below).bit_length() for bits in final.values()) - 1
+    key = min(s for s, bits in final.items() if (bits >> u0) & 1)
+
+    cnt, col, delta, stride = tables.cnt, tables.col, tables.delta, tables.stride
+    base_key, fields, apply_type = tables.base_key, tables.fields, tables.apply_type
+    T = len(cnt)
     counts_out = [0] * T
     for base in reversed(range(0, T, stride)):
-        seg = [snapshots[base // stride]]
+        seg = [tables.snapshots[base // stride]]
+        if stride > 1 and budget < tables.top:
+            seg[0] = {s: bits & below for s, bits in seg[0].items() if bits & below}
         for u in range(base, min(base + stride, T) - 1):
-            seg.append(apply_type(seg[-1], u))
+            seg.append(apply_type(seg[-1], u, below))
         for u, before in reversed(list(enumerate(seg, base))):
             c0, d, rel = col[0][u], delta[u], key - base_key
             q = min(cnt[u], u0 // c0) if c0 else cnt[u]
@@ -262,44 +387,23 @@ def solve_exact(problem: SelectionProblem, node_budget: Optional[int] = None) ->
     cut-row state space is small, ``_greatest_weight_counts`` answers
     instead.  Deterministic; raises ``BudgetExceededError`` when
     ``node_budget`` nodes are expanded without a proof of optimality (never
-    returns a silently suboptimal answer).
+    returns a silently suboptimal answer).  The types, the bound's ratio
+    orders and the DP's forward pass are kept for every ``at`` of the
+    problem.
     """
     k = problem.k
-    rewards = problem.group_rewards
     num_rows = len(problem.rows)
     rhs_list = [rhs for _, rhs in problem.rows]
-
-    # Collapse duplicate columns; remember the original indices of each.
-    members: dict[tuple[int, ...], list[int]] = {}
-    for l in range(k):
-        key = (rewards[l],) + tuple(coeffs[l] for coeffs, _ in problem.rows)
-        members.setdefault(key, []).append(l)
-    keys = sorted(
-        members,
-        key=lambda key: (
-            ((0, -key[0]) if key[1] == 0 else (1, -Fraction(key[0], key[1]))),
-            members[key][0],
-        ),
-    )
+    shared = problem._shared
+    keys, members, p_t, cnt, col = shared.column_types(problem)
     T = len(keys)
-    p_t = [key[0] for key in keys]
-    cnt = [len(members[key]) for key in keys]
-    col = [[key[1 + r] for key in keys] for r in range(num_rows)]
 
     # Rewards equal to row-0 coefficients and a small state space: the weight DP.
     if p_t == col[0] and min(rhs_list) >= 0 and prod(r + 1 for r in rhs_list) <= _WEIGHT_DP_LIMIT:
-        return _taking(k, keys, members, _greatest_weight_counts(T, cnt, col, rhs_list))
+        tables = shared.weight_tables(cnt, col, rhs_list)
+        return _taking(k, keys, members, _greatest_weight_counts(tables, rhs_list[0]))
 
-    # Per-row orderings for the fractional bounds (zero-coefficient types
-    # contribute their full reward for free).
-    bound_rows = []
-    for r in range(num_rows):
-        coeffs = col[r]
-        ratio_order = sorted(
-            range(T),
-            key=lambda t: ((0, 0) if coeffs[t] == 0 else (1, -Fraction(p_t[t], coeffs[t]))),
-        )
-        bound_rows.append((coeffs, rhs_list[r], ratio_order))
+    bound_rows = list(zip(col, rhs_list, shared.bound_orders(p_t, col)))
 
     def can_improve(pos: int, used: list[int], value: int, best: int) -> bool:
         """True iff every row's fractional bound strictly exceeds ``best``.

@@ -7,6 +7,7 @@ from itertools import accumulate, pairwise
 
 import pytest
 
+from gmkp import subset_select
 from gmkp.model import Instance
 
 
@@ -69,6 +70,19 @@ def group_ranges(instance: Instance) -> list[range]:
     """The item indices of each group: consecutive, since items are numbered group-major."""
     bounds = pairwise(accumulate(map(len, instance.group_items), initial=0))
     return [range(a, b) for a, b in bounds]
+
+
+def recording_tables(monkeypatch) -> list[int]:
+    """Patch the weight DP's forward pass to record the budget of each one built."""
+    tops: list[int] = []
+
+    class Recording(subset_select._WeightTables):
+        def __init__(self, T, cnt, col, rhs_list):
+            tops.append(rhs_list[0])
+            super().__init__(T, cnt, col, rhs_list)
+
+    monkeypatch.setattr(subset_select, "_WeightTables", Recording)
+    return tops
 
 
 @pytest.fixture(scope="session")

@@ -5,16 +5,17 @@ from fractions import Fraction
 
 import pytest
 
+from gmkp import gen, subset_select
 from gmkp.heuristics import (
     DEFAULT_SWEEP_FACTORS,
     binary_search_feasible,
     capacity_sweep,
     pareto_frontier,
 )
-from gmkp.model import Assignment, BiCriteriaMetrics, Selection
+from gmkp.model import Assignment, BiCriteriaMetrics, BudgetExceededError, Selection
 from gmkp.oracle import exact_gmkp
-from gmkp.pipeline import SolveResult
-from conftest import make, random_small_instance
+from gmkp.pipeline import SolveResult, run_algorithm
+from conftest import make, random_small_instance, recording_tables
 
 
 def fake_result(reward, max_exceeded):
@@ -86,6 +87,103 @@ class TestCapacitySweep:
         inst = make([5, 5], [3], [(0,)], [3])
         with pytest.raises(ValueError):
             capacity_sweep(inst, "kp", factors=[Fraction(0)])
+
+
+def reference_search(instance, variant, swap_opt=True, d_set=None, node_budget=None):
+    """``binary_search_feasible`` as a loop of fresh ``run_algorithm`` calls.
+
+    Returns the best feasible result and the probe count.
+    """
+    left, right = 0, instance.total_capacity
+    best, probes = None, 0
+    while left <= right:
+        mid = (left + right) // 2
+        probes += 1
+        res = run_algorithm(instance, variant, swap_opt=swap_opt, total_capacity=mid,
+                            d_set=d_set, node_budget=node_budget)
+        if res.metrics.max_exceeded <= 0:
+            if best is None or res.metrics.reward >= best.metrics.reward:
+                best = res
+            left = mid + 1
+        else:
+            right = mid - 1
+    return best, probes
+
+
+def reference_sweep(instance, variant, factors, swap_opt=True, d_set=None, node_budget=None):
+    """``capacity_sweep`` as a loop of fresh ``run_algorithm`` calls: (factor, result, error)."""
+    out = []
+    for f in factors:
+        try:
+            res = run_algorithm(instance, variant, swap_opt=swap_opt,
+                                total_capacity=int(f * instance.total_capacity),
+                                d_set=d_set, node_budget=node_budget)
+            out.append((f, res, None))
+        except BudgetExceededError as exc:
+            out.append((f, None, str(exc)))
+    return out
+
+
+def outcome(res):
+    """Everything a run reports except its timings."""
+    if res is None:
+        return None
+    return res.algorithm, res.selection, res.assignment, res.metrics, res.swap_opt_applied
+
+
+class TestSharedProblemHeuristics:
+    """The search and the sweep, which share one problem, against fresh runs."""
+
+    VARIANTS = ("lp", "kp", "2mkp", "3mkp", "mkpd", "mkpprime")
+
+    @pytest.mark.parametrize("tag", ["R0", "R1", "R3"])
+    def test_equal_to_fresh_runs(self, tag):
+        rng = random.Random(56)
+        raised = errors = 0
+        for trial in range(8):
+            base = random_small_instance(rng, reward_mode="weight")
+            inst = gen.apply_reward_scheme(base, gen.RewardScheme(tag, seed=trial))
+            for variant in self.VARIANTS:
+                d_set = sorted(subset_select.canonical_D(inst))[-3:] if variant == "mkpd" else None
+                for node_budget in (None, 4):
+                    kw = dict(d_set=d_set, node_budget=node_budget, swap_opt=trial % 2 == 0)
+                    try:
+                        want, want_probes = reference_search(inst, variant, **kw)
+                    except BudgetExceededError as exc:
+                        raised += 1
+                        with pytest.raises(BudgetExceededError, match=str(exc)):
+                            binary_search_feasible(inst, variant, **kw)
+                    else:
+                        got = binary_search_feasible(inst, variant, **kw)
+                        assert got.probes == want_probes
+                        assert outcome(got.result) == outcome(want)
+
+                    want_rows = reference_sweep(inst, variant, DEFAULT_SWEEP_FACTORS, **kw)
+                    got_rows = capacity_sweep(inst, variant, **kw)
+                    assert [(e.factor, outcome(e.result), e.error) for e in got_rows] == [
+                        (f, outcome(res), err) for f, res, err in want_rows
+                    ]
+                    errors += sum(e.error is not None for e in got_rows)
+        if tag != "R0":
+            # the small node budget does fail some probes of branch and bound
+            assert raised and errors
+
+    def test_huge_factor_builds_no_large_dp_table(self, monkeypatch):
+        # 1/100 takes the weight DP, 10**400 branch and bound: the forward
+        # pass is built at the small budget, never near the DP's limit
+        tops = recording_tables(monkeypatch)
+        factors = [Fraction(1, 100), Fraction("1e400")]
+        rng = random.Random(57)
+        for _ in range(10):
+            inst = random_small_instance(rng, reward_mode="weight")
+            for variant in ("kp", "2mkp", "3mkp"):
+                tops.clear()
+                got = capacity_sweep(inst, variant, factors=factors)
+                assert tops == [inst.total_capacity // 100]
+                want = reference_sweep(inst, variant, factors)
+                assert [(e.factor, outcome(e.result), e.error) for e in got] == [
+                    (f, outcome(res), err) for f, res, err in want
+                ]
 
 
 def reference_pareto_frontier(results):

@@ -4,24 +4,26 @@ import gc
 import random
 import sys
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmkp import gen
+from gmkp import gen, subset_select
 from gmkp.model import BudgetExceededError, Selection
 from gmkp.oracle import enumerate_feasible_z, solve_dp_single_row
 from gmkp.subset_select import (
     _WEIGHT_DP_LIMIT,
     SelectionProblem,
     _greatest_weight_counts,
+    _WeightTables,
     build_problem,
     canonical_D,
     f_d,
     solve_exact,
 )
-from conftest import make, random_small_instance
+from conftest import make, random_small_instance, recording_tables
 
 
 def brute_force_best(problem: SelectionProblem) -> int:
@@ -353,20 +355,32 @@ def dp_arguments(problem: SelectionProblem):
     return len(keys), [members[key] for key in keys], col, [rhs for _, rhs in problem.rows]
 
 
+def weight_counts(T, cnt, col, rhs_list):
+    """The weight DP's answer at ``rhs_list[0]``, from a forward pass built there."""
+    return _greatest_weight_counts(_WeightTables(T, cnt, col, rhs_list), rhs_list[0])
+
+
+def random_dp_arguments(rng, T_range, cnt_max, rhs0_max, cut_rhs, zero_heavy):
+    """Random ``(T, cnt, col, rhs_list)``; coefficients may exceed their row's rhs."""
+    rows = rng.randint(1, 4)
+    T = rng.randint(*T_range)
+    cnt = [rng.randint(1, cnt_max) for _ in range(T)]
+    rhs_list = [rng.randint(0, rhs0_max)] + [rng.choice(cut_rhs) for _ in range(rows - 1)]
+    if zero_heavy:
+        col = [[rng.choice((0, rng.randint(1, rhs + 2))) for _ in range(T)] for rhs in rhs_list]
+    else:
+        col = [[rng.randint(0, rhs + 3) for _ in range(T)] for rhs in rhs_list]
+    return T, cnt, col, rhs_list
+
+
 class TestWeightDpEncoding:
     """The int-keyed weight DP against the tuple-keyed reference."""
 
     def test_random_problems(self):
         rng = random.Random(19)
         for _ in range(600):
-            rows = rng.randint(1, 4)
-            T = rng.randint(1, 7)
-            cnt = [rng.randint(1, 5) for _ in range(T)]
-            rhs_list = [rng.randint(0, 40)] + [rng.choice((0, 1, 2, 3, 7, 8, 15)) for _ in range(rows - 1)]
-            # coefficients may exceed the right-hand side of their row
-            col = [[rng.randint(0, rhs + 3) for _ in range(T)] for rhs in rhs_list]
-            args = (T, cnt, col, rhs_list)
-            assert _greatest_weight_counts(*args) == tuple_state_weight_counts(*args), args
+            args = random_dp_arguments(rng, (1, 7), 5, 40, (0, 1, 2, 3, 7, 8, 15), False)
+            assert weight_counts(*args) == tuple_state_weight_counts(*args), args
 
     def test_random_problems_with_stride(self):
         # T >= 17 makes the stride at least 2, so the backtrack reruns
@@ -374,13 +388,8 @@ class TestWeightDpEncoding:
         # the edge cases of its cap on q
         rng = random.Random(20)
         for _ in range(150):
-            rows = rng.randint(1, 4)
-            T = rng.randint(17, 60)
-            cnt = [rng.randint(1, 4) for _ in range(T)]
-            rhs_list = [rng.randint(0, 60)] + [rng.choice((0, 1, 2, 5, 8, 13)) for _ in range(rows - 1)]
-            col = [[rng.choice((0, rng.randint(1, rhs + 2))) for _ in range(T)] for rhs in rhs_list]
-            args = (T, cnt, col, rhs_list)
-            assert _greatest_weight_counts(*args) == tuple_state_weight_counts(*args), args
+            args = random_dp_arguments(rng, (17, 60), 4, 60, (0, 1, 2, 5, 8, 13), True)
+            assert weight_counts(*args) == tuple_state_weight_counts(*args), args
 
     @pytest.mark.parametrize("variant", ["2mkp", "3mkp", "mkpprime"])
     def test_generator_instances(self, variant):
@@ -389,7 +398,95 @@ class TestWeightDpEncoding:
             inst = gen.generate_instance(gen.materialize(unit, seed=idx))
             for budget in (inst.total_capacity, 3 * inst.total_capacity // 4):
                 args = dp_arguments(build_problem(inst, variant, total_capacity=budget))
-                assert _greatest_weight_counts(*args) == tuple_state_weight_counts(*args)
+                assert weight_counts(*args) == tuple_state_weight_counts(*args)
+
+    @pytest.mark.parametrize("T_range", [(1, 7), (17, 40)])
+    def test_tables_answer_every_smaller_budget(self, T_range):
+        # one forward pass at ``top``, queried at each budget up to it, against
+        # a fresh reference DP at that budget; coefficients up to rhs + 2 make
+        # types that fit at ``top`` but not below, and zeros give c0 = 0
+        rng = random.Random(22 + T_range[0])
+        for _ in range(60 if T_range[0] == 1 else 12):
+            args = random_dp_arguments(rng, T_range, 4, 40, (0, 1, 2, 5, 8, 13), True)
+            T, cnt, col, rhs_list = args
+            tables = _WeightTables(T, cnt, col, rhs_list)
+            for budget in range(rhs_list[0] + 1):
+                at_budget = (T, cnt, col, [budget, *rhs_list[1:]])
+                got = _greatest_weight_counts(tables, budget)
+                assert got == tuple_state_weight_counts(*at_budget), (at_budget, rhs_list[0])
+
+    def test_tables_refuse_a_budget_above_top(self):
+        tables = _WeightTables(1, [1], [[3]], [5])
+        assert _greatest_weight_counts(tables, 5) == [1]
+        with pytest.raises(ValueError):
+            _greatest_weight_counts(tables, 6)
+
+
+class TestSharedProblem:
+    """One problem, probed at many budgets through ``at``, answers as fresh problems do."""
+
+    VARIANTS = ("kp", "2mkp", "3mkp", "mkpd", "mkpprime")
+
+    @pytest.mark.parametrize("tag", ["R0", "R1", "R3"])
+    def test_probes_match_fresh_solves(self, tag, monkeypatch):
+        # R0 rewards are the group weights, so every probe takes the weight
+        # DP; R1 and R3 rewards take branch and bound
+        tops = recording_tables(monkeypatch)
+        rng = random.Random(23)
+        for trial in range(25):
+            base = random_small_instance(rng, reward_mode="weight")
+            inst = gen.apply_reward_scheme(base, gen.RewardScheme(tag, seed=trial))
+            top = inst.total_capacity + rng.randint(0, 10)
+            budgets = sorted(set(rng.sample(range(top + 1), min(8, top + 1))) | {top})
+            thresholds = sorted(canonical_D(inst))
+            for variant in self.VARIANTS:
+                d_set = None
+                if variant == "mkpd":
+                    d_set = rng.sample(thresholds, min(3, len(thresholds)))
+                fresh = {
+                    b: solve_exact(build_problem(inst, variant, total_capacity=b, d_set=d_set))
+                    for b in budgets
+                }
+                for order in (budgets, budgets[::-1], rng.sample(budgets, len(budgets))):
+                    family = build_problem(inst, variant, total_capacity=top, d_set=d_set)
+                    tops.clear()
+                    for b in order:
+                        assert solve_exact(family.at(b)) == fresh[b], (inst, variant, b)
+                    # one forward pass, at the top budget, served every probe
+                    space = prod(rhs + 1 for _, rhs in family.rows)
+                    assert tops == ([top] if tag == "R0" and space <= _WEIGHT_DP_LIMIT else [])
+
+    def test_top_budget_over_the_dp_limit(self, monkeypatch):
+        # budgets up to top // 2 take the weight DP, larger ones branch and bound
+        tops = recording_tables(monkeypatch)
+        rng = random.Random(24)
+        for _ in range(20):
+            inst = random_small_instance(rng, reward_mode="weight")
+            top = inst.total_capacity
+            budgets = list(range(top + 1))
+            for variant in ("kp", "2mkp", "3mkp"):
+                cut_space = prod(rhs + 1 for _, rhs in build_problem(inst, variant).rows[1:])
+                monkeypatch.setattr(subset_select, "_WEIGHT_DP_LIMIT", (top // 2 + 1) * cut_space)
+                fresh = {
+                    b: solve_exact(build_problem(inst, variant, total_capacity=b)) for b in budgets
+                }
+
+                # every budget made before the first solve, as the sweep does:
+                # one forward pass, at the largest budget the DP takes
+                family = build_problem(inst, variant, total_capacity=top)
+                probes = [family.at(b) for b in rng.sample(budgets, len(budgets))]
+                tops.clear()
+                for probe in probes:
+                    assert solve_exact(probe) == fresh[probe.rows[0][1]]
+                assert tops == [top // 2]
+
+                # budgets made one at a time, rising: each larger DP budget
+                # rebuilds the tables, and the answers stay the same
+                family = build_problem(inst, variant, total_capacity=top)
+                tops.clear()
+                for b in budgets:
+                    assert solve_exact(family.at(b)) == fresh[b]
+                assert tops == list(range(top // 2 + 1))
 
 
 def reference_solve_exact(problem: SelectionProblem, node_budget=None) -> Selection:
@@ -430,7 +527,7 @@ def reference_solve_exact(problem: SelectionProblem, node_budget=None) -> Select
         for r in range(1, num_rows):
             space *= rhs_list[r] + 1
         if 0 < space <= _WEIGHT_DP_LIMIT and all(r >= 0 for r in rhs_list):
-            counts = _greatest_weight_counts(T, cnt, col, rhs_list)
+            counts = weight_counts(T, cnt, col, rhs_list)
             out = [False] * k
             for t, key in enumerate(keys):
                 for l in members[key][: counts[t]]:
