@@ -6,16 +6,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .model import Instance
+
+if TYPE_CHECKING:
+    import numpy as np
 
 RNG_NAME = "numpy-pcg64"
 
 
 def _rng(seed: int) -> np.random.Generator:
+    # numpy is imported by the functions that draw, so that importing the
+    # package (and starting the command line) does not load it
+    import numpy as np
+
     return np.random.Generator(np.random.PCG64(seed))
 
 
@@ -73,6 +78,8 @@ def latin_hypercube(count: int, seed: int) -> np.ndarray:
     """Classic Latin hypercube over the six coordinates ``materialize`` reads."""
     if count < 1:
         raise ValueError("count must be >= 1")
+    import numpy as np
+
     rng = _rng(seed)
     points = np.empty((count, 6))
     for d in range(6):
@@ -110,7 +117,7 @@ def materialize(point, capacity: int = 100, seed: int = 0) -> GeneratorParams:
 
 def _triangular_int(rng: np.random.Generator, lo: int, mode: int, hi: int) -> int:
     """Inverse-CDF triangular sample on a 64-bit uniform, rounded to int."""
-    u = int(rng.integers(0, 2**64, dtype=np.uint64)) / 2**64
+    u = int(rng.integers(0, 2**64, dtype="uint64")) / 2**64
     if hi == lo:
         return lo
     fc = (mode - lo) / (hi - lo)

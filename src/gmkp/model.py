@@ -24,7 +24,11 @@ class BudgetExceededError(GmkpError):
 
 
 class InconsistentSolutionError(GmkpError):
-    """A selection and an assignment disagree about which items are placed."""
+    """A solution breaks an invariant the solvers guarantee.
+
+    Its selection and assignment disagree about which items are placed, or
+    its max overload exceeds the variant's proven bound.
+    """
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,18 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import floor
 from typing import Iterable, Optional
 
 from . import assign, lp_greedy, subset_select
-from .model import Assignment, BiCriteriaMetrics, Instance, Selection, metrics
+from .model import (
+    Assignment,
+    BiCriteriaMetrics,
+    InconsistentSolutionError,
+    Instance,
+    Selection,
+    metrics,
+)
 
 VARIANT_LP = "lp"
 ALL_VARIANTS = (
@@ -120,8 +128,10 @@ def powers_of_common_base(values: Iterable[int]) -> Optional[int]:
     vals = [v for v in set(values) if v > 1]
     if not vals:
         return 2  # everything is 1
-    for a in range(2, min(vals) + 1):
-        if all(_is_power_of(v, a) for v in vals):
+    least = min(vals)
+    for a in range(2, least + 1):
+        # a base of every value divides the least one
+        if least % a == 0 and all(_is_power_of(v, a) for v in vals):
             return a
     return None
 
@@ -129,18 +139,22 @@ def powers_of_common_base(values: Iterable[int]) -> Optional[int]:
 def beta_bound_for(
     instance: Instance, variant: str, d_set: Optional[Iterable[Fraction]] = None
 ) -> Optional[Fraction]:
-    """The proven overload bound (as a fraction of the largest capacity)."""
+    """The proven overload bound (as a fraction of the largest capacity).
+
+    Each variant reads only what its bound depends on, so the common-base
+    scan over every item weight runs for ``kp`` and ``mkpprime`` alone.
+    """
     equal_caps = len(set(instance.capacities)) == 1
     c_max = instance.c_max
-    base = powers_of_common_base(
-        list(instance.capacities) + list(instance.item_weights)
-    )
-    ds = {Fraction(d) for d in d_set} if d_set is not None else set()
+
+    def has_common_base() -> bool:
+        values = list(instance.capacities) + list(instance.item_weights)
+        return powers_of_common_base(values) is not None
 
     if variant == VARIANT_LP:
         return Fraction(2)
     if variant == subset_select.VARIANT_KP:
-        if equal_caps and base is not None:
+        if equal_caps and has_common_base():
             return Fraction(0)
         return Fraction(1)
     if variant == subset_select.VARIANT_2MKP:
@@ -150,13 +164,46 @@ def beta_bound_for(
     if variant == subset_select.VARIANT_3MKP:
         return Fraction(1, 3) if equal_caps else Fraction(1, 2)
     if variant == subset_select.VARIANT_MKPD:
+        ds = {Fraction(d) for d in d_set} if d_set is not None else set()
         if Fraction(c_max, 2) in ds and Fraction(c_max, 3) in ds and equal_caps:
             return Fraction(1, 3)
         if Fraction(c_max, 2) in ds:
             return Fraction(1, 2)
         return Fraction(1)  # still a relaxation of the aggregate row
     if variant == subset_select.VARIANT_MKP_PRIME:
-        if base is not None:
+        if has_common_base():
             return Fraction(0)
         return Fraction(1)
     return None
+
+
+def overload_cap(
+    instance: Instance, variant: str, d_set: Optional[Iterable[Fraction]] = None
+) -> Optional[int]:
+    """The largest max overload the variant's proven bound allows, or None without one.
+
+    That is ``floor(beta * c_max)`` with ``beta`` from ``beta_bound_for``.
+    """
+    beta = beta_bound_for(instance, variant, d_set)
+    return None if beta is None else floor(beta * instance.c_max)
+
+
+def check_overload(
+    instance: Instance,
+    result: SolveResult,
+    cap: Optional[int],
+    total_capacity: Optional[int] = None,
+) -> None:
+    """Raise ``InconsistentSolutionError`` if ``result``'s max overload exceeds ``cap``.
+
+    ``cap`` comes from ``overload_cap``.  The bound holds for an aggregate
+    budget up to the instance's total capacity, so a run at a larger
+    ``total_capacity`` is not checked.
+    """
+    if total_capacity is not None and total_capacity > instance.total_capacity:
+        return
+    if cap is not None and result.metrics.max_exceeded > cap:
+        raise InconsistentSolutionError(
+            f"{result.algorithm} overload {result.metrics.max_exceeded} exceeds its proven "
+            f"bound {cap}"
+        )

@@ -385,11 +385,20 @@ def solve_exact(problem: SelectionProblem, node_budget: Optional[int] = None) ->
     first optimal node in pre-order, which depends on the branch order only,
     never on the bound.  When rewards equal the row-0 coefficients and the
     cut-row state space is small, ``_greatest_weight_counts`` answers
-    instead.  Deterministic; raises ``BudgetExceededError`` when
-    ``node_budget`` nodes are expanded without a proof of optimality (never
-    returns a silently suboptimal answer).  The types, the bound's ratio
-    orders and the DP's forward pass are kept for every ``at`` of the
-    problem.
+    instead.  When the space is over ``_WEIGHT_DP_LIMIT``, the same DP runs
+    first on a core of the types: the least cut-row usage per unit row-0
+    weight first (ties by branch order), kept in branch order, each
+    right-hand side clipped to the core's total coefficient.  The core
+    starts at 16 types and doubles while its clipped space is within the
+    limit and the root bound can beat its best.  A best the root bound
+    cannot beat, or one over every type, is optimal and returned; otherwise
+    it is the search's starting incumbent.  An incumbent below the optimum
+    changes no node the search returns, so the core changes a result only
+    where it reaches the optimum.  Deterministic; raises
+    ``BudgetExceededError`` when ``node_budget`` nodes are expanded without
+    a proof of optimality (never returns a silently suboptimal answer).  The
+    types, the bound's ratio orders and the DP's forward pass are kept for
+    every ``at`` of the problem.
     """
     k = problem.k
     num_rows = len(problem.rows)
@@ -399,7 +408,8 @@ def solve_exact(problem: SelectionProblem, node_budget: Optional[int] = None) ->
     T = len(keys)
 
     # Rewards equal to row-0 coefficients and a small state space: the weight DP.
-    if p_t == col[0] and min(rhs_list) >= 0 and prod(r + 1 for r in rhs_list) <= _WEIGHT_DP_LIMIT:
+    weight_objective = p_t == col[0] and min(rhs_list) >= 0
+    if weight_objective and prod(r + 1 for r in rhs_list) <= _WEIGHT_DP_LIMIT:
         tables = shared.weight_tables(cnt, col, rhs_list)
         return _taking(k, keys, members, _greatest_weight_counts(tables, rhs_list[0]))
 
@@ -441,13 +451,46 @@ def solve_exact(problem: SelectionProblem, node_budget: Optional[int] = None) ->
                 return False
         return True
 
+    best_value = -1
+    best_counts: list[int] = [0] * T
+
+    # Weight objective over a large state space: the weight DP over a core of
+    # the types, the least cut-row usage per unit weight first, each right-hand
+    # side clipped to what the core can use.  The core doubles while its space
+    # fits and the root bound can beat its best; that best starts the search.
+    if weight_objective:
+        order = sorted(range(T), key=lambda t: (
+            (0, Fraction(sum(c[t] for c in col[1:]), col[0][t])) if col[0][t] else (1, 0), t))
+        size = 16
+        while True:
+            core = sorted(order[:size])
+            core_col = [[c[t] for t in core] for c in col]
+            core_cnt = [cnt[t] for t in core]
+            core_rhs = [
+                min(rhs, sum(c * n for c, n in zip(coeffs, core_cnt)))
+                for coeffs, rhs in zip(core_col, rhs_list)
+            ]
+            if prod(r + 1 for r in core_rhs) > _WEIGHT_DP_LIMIT:
+                break
+            core_counts = _greatest_weight_counts(
+                _WeightTables(len(core), core_cnt, core_col, core_rhs), core_rhs[0]
+            )
+            value = sum(q * p_t[t] for q, t in zip(core_counts, core))
+            if value > best_value:
+                best_value, best_counts = value, [0] * T
+                for q, t in zip(core_counts, core):
+                    best_counts[t] = q
+            # Every type in the core makes the DP exact; a root bound at most
+            # its best proves the best optimal.
+            if size >= T or not can_improve(0, [0] * num_rows, 0, best_value):
+                return _taking(k, keys, members, best_counts)
+            size *= 2
+
     # Depth-first search in pre-order: an entry is a node with ``q`` copies
     # of type ``pos - 1``, and siblings are pushed fewest-copies-first so
     # the most copies pop first.  ``counts[:pos]`` is the path to the node,
     # and ``counts[pos:]`` is zero: each finished sibling group ends with
     # its zero-copies node.
-    best_value = -1
-    best_counts: list[int] = [0] * T
     counts = [0] * T
     nodes = 0
     stack = [(0, 0, [0] * num_rows, 0)]

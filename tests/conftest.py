@@ -73,15 +73,23 @@ def group_ranges(instance: Instance) -> list[range]:
 
 
 def recording_tables(monkeypatch) -> list[int]:
-    """Patch the weight DP's forward pass to record the budget of each one built."""
+    """Patch the weight DP to record the budget of each full-width forward pass built.
+
+    A full-width pass covers every column type at the problem's own cut
+    right-hand sides; ``_Shared.weight_tables`` builds and keeps it.  The
+    small tables of a core are not recorded.
+    """
     tops: list[int] = []
+    weight_tables = subset_select._Shared.weight_tables
 
-    class Recording(subset_select._WeightTables):
-        def __init__(self, T, cnt, col, rhs_list):
-            tops.append(rhs_list[0])
-            super().__init__(T, cnt, col, rhs_list)
+    def recording(shared, cnt, col, rhs_list):
+        kept = shared.tables
+        tables = weight_tables(shared, cnt, col, rhs_list)
+        if tables is not kept:
+            tops.append(tables.top)
+        return tables
 
-    monkeypatch.setattr(subset_select, "_WeightTables", Recording)
+    monkeypatch.setattr(subset_select._Shared, "weight_tables", recording)
     return tops
 
 

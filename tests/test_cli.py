@@ -7,6 +7,8 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import gmkp
-from gmkp import assign, gen
+from gmkp import assign, gen, pipeline, subset_select
 from gmkp.cli import (
     EXIT_BUDGET,
     EXIT_INPUT,
@@ -143,6 +145,16 @@ class TestGenerate:
         for name in ("inst_4_0.json", "inst_4_1.json", "manifest_4.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_importing_the_cli_leaves_numpy_unloaded(self):
+        # only the generator draws with numpy, so it imports numpy when it draws
+        src = str(Path(gmkp.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, gmkp.cli; print('numpy' in sys.modules)"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0 and proc.stdout.strip() == "False", proc.stderr
+
     def test_out_dir_variable_read_at_each_call(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv("GMKP_OUT_DIR", raising=False)
@@ -253,6 +265,38 @@ class TestSolve:
         monkeypatch.setattr(assign, "_first_jump", ping_pong)
         assert main(["solve", str(sample[1]), "--algo", "3mkp", "--swap-opt"]) == EXIT_INTERNAL
         assert "swap-optimal move bound exceeded" in capsys.readouterr().err
+
+    def test_large_m_weight_problem_takes_the_core(self, tmp_path):
+        # instance 7 of ``gmkp generate --count 20 --seed 7``: m = 77, and the
+        # 3mkp state space is over the weight DP's limit
+        point = gen.latin_hypercube(20, 7)[7]
+        inst = gen.generate_instance(gen.materialize(point, capacity=100, seed=7 * 1_000_003 + 7))
+        rows = subset_select.build_problem(inst, "3mkp").rows
+        assert prod(rhs + 1 for _, rhs in rows) > subset_select._WEIGHT_DP_LIMIT
+        path, out = tmp_path / "inst_7_7.json", tmp_path / "r.json"
+        write_instance(path, inst)
+        argv = ["solve", str(path), "--algo", "3mkp", "--swap-opt", "--node-budget", "50000"]
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert doc["reward"] == 7700 and doc["max_exceeded"] <= 100 // 3
+
+    @pytest.mark.parametrize("command", ["solve", "feasible", "sweep"])
+    def test_overload_over_the_proven_bound_exits_4(self, command, sample, tmp_path,
+                                                    monkeypatch, capsys):
+        # a bound of -2 * c_max: every placement breaks it
+        monkeypatch.setattr(pipeline, "beta_bound_for", lambda *args: Fraction(-2))
+        argv = [command, str(sample[1]), "--algo", "2mkp", "--out", str(tmp_path / "r")]
+        assert main(argv) == EXIT_INTERNAL
+        assert "exceeds its proven bound" in capsys.readouterr().err
+
+    def test_overload_unchecked_above_the_total_capacity(self, sample, tmp_path, monkeypatch):
+        # the bound holds for aggregate budgets up to the total capacity only
+        monkeypatch.setattr(pipeline, "beta_bound_for", lambda *args: Fraction(-2))
+        argv = ["solve", str(sample[1]), "--algo", "2mkp", "--out", str(tmp_path / "r.json")]
+        assert main([*argv, "--total-capacity", "21"]) == EXIT_OK
+        assert main([*argv, "--total-capacity", "20"]) == EXIT_INTERNAL
+        sweep = ["sweep", str(sample[1]), "--factors", "21/20", "--out", str(tmp_path / "s.csv")]
+        assert main(sweep) == EXIT_OK
 
     def test_best_algo(self, sample, tmp_path):
         _, path = sample

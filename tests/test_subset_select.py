@@ -771,6 +771,73 @@ class TestPreorderFact:
                 assert solve_exact(prob) == reference_solve_exact(prob)
 
 
+def recording_core_values(monkeypatch) -> list[int]:
+    """Patch the weight DP's answer to record the row-0 total of each one given."""
+    values: list[int] = []
+    greatest = subset_select._greatest_weight_counts
+
+    def recording(tables, budget):
+        counts = greatest(tables, budget)
+        values.append(sum(q * c for q, c in zip(counts, tables.col[0])))
+        return counts
+
+    monkeypatch.setattr(subset_select, "_greatest_weight_counts", recording)
+    return values
+
+
+class TestCore:
+    """Weight problems over the DP limit: a core's weight DP starts the search."""
+
+    def test_value_equals_the_full_dp(self, monkeypatch):
+        rng = random.Random(41)
+        runs = []
+        for _ in range(400):
+            k = rng.randint(1, 40)
+            weights = tuple(rng.randint(1, 12) for _ in range(k))
+            rows = [(weights, rng.randint(0, sum(weights) + 5))]
+            for _ in range(rng.randint(0, 2)):
+                cut = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(k))
+                rows.append((cut, rng.randint(0, sum(cut) + 3)))
+            prob = SelectionProblem(weights, tuple(rows))
+            T, cnt, col, rhs_list = dp_arguments(prob)
+            optimum = sum(q * c for q, c in zip(weight_counts(T, cnt, col, rhs_list), col[0]))
+
+            space = prod(rhs + 1 for rhs in rhs_list)
+            monkeypatch.setattr(
+                subset_select, "_WEIGHT_DP_LIMIT", rng.choice((space - 1, rng.randint(0, space - 1)))
+            )
+            values = recording_core_values(monkeypatch)
+            sel = solve_exact(prob)
+            monkeypatch.undo()
+            assert prob.feasible(sel.chosen) and selection_value(prob, sel) == optimum, prob
+            runs.append(len(values))
+        # the core ran, and grew past its first 16 types, on some problems
+        assert runs.count(1) >= 50 and runs.count(2) >= 1
+
+    def test_short_core_keeps_the_preorder_first_optimum(self, monkeypatch):
+        # 16 even-weight types with low cut usage, and one odd-weight type with
+        # the highest: the 16-type core reaches only even totals, below the
+        # odd rhs0 that the optimum fills.  A core of every type clips
+        # nothing and is over the patched limit, so the search starts from
+        # the 16-type best
+        rng = random.Random(42)
+        for _ in range(30):
+            combos = rng.sample([(w, c) for w in range(2, 25, 2) for c in (0, 1, 2)], 16)
+            odd = rng.randrange(1, 12, 2)
+            combos.append((odd, 2 * odd))
+            rng.shuffle(combos)
+            weights, cut = (tuple(x) for x in zip(*combos))
+            prob = SelectionProblem(weights, ((weights, rng.randrange(odd, 42, 2)), (cut, sum(cut))))
+            monkeypatch.setattr(
+                subset_select, "_WEIGHT_DP_LIMIT", prod(rhs + 1 for _, rhs in prob.rows) - 1
+            )
+            values = recording_core_values(monkeypatch)
+            sel = solve_exact(prob)
+            monkeypatch.undo()
+            assert values and max(values) < selection_value(prob, sel)
+            assert sel == unbounded_preorder_search(prob), prob
+
+
 def test_solve_exact_leaves_interpreter_state_alone(monkeypatch):
     # one row, rewards unrelated to weights, more distinct column types than
     # the recursion limit, all fitting: the search goes one level per type
