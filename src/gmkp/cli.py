@@ -216,13 +216,9 @@ def run_named_algo(
     if variant == "best":
         if total_capacity is not None:
             raise CliInputError("--total-capacity does not go with --algo best")
-        result = pipeline.run_best(instance, swap_opt=swap_opt, node_budget=node_budget)
-    else:
-        result = pipeline.run_algorithm(instance, variant, swap_opt=swap_opt, d_set=d_set,
-                                        total_capacity=total_capacity, node_budget=node_budget)
-    cap = pipeline.overload_cap(instance, result.algorithm, d_set)
-    pipeline.check_overload(instance, result, cap, total_capacity)
-    return result
+        return pipeline.run_best(instance, swap_opt=swap_opt, node_budget=node_budget)
+    return pipeline.run_algorithm(instance, variant, swap_opt=swap_opt, d_set=d_set,
+                                  total_capacity=total_capacity, node_budget=node_budget)
 
 
 # -------------------------------------------------------------- subcommands

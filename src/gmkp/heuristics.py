@@ -57,14 +57,13 @@ def binary_search_feasible(
     solution.  Each probe halves the interval, so at most
     ``(total_capacity + 1).bit_length()`` probes run.  A probe's solver
     error (an exhausted ``node_budget``, say) propagates to the caller, and
-    so does the ``InconsistentSolutionError`` of a probe whose overload
-    breaks the variant's proven bound.
+    so does the ``InconsistentSolutionError`` that ``run_algorithm`` raises
+    for a probe whose overload breaks the variant's proven bound.
     The selection problem is built once, at ``total_capacity``, and every
     probe solves it at its own budget.
     """
     left, right = 0, instance.total_capacity
     problem = _shared_problem(instance, variant, right, d_set)
-    cap = pipeline.overload_cap(instance, variant, d_set)
     incumbent = _empty_result(instance, variant)
     probes = 0
     while left <= right:
@@ -79,7 +78,6 @@ def binary_search_feasible(
             node_budget=node_budget,
             problem=None if problem is None else problem.at(mid),
         )
-        pipeline.check_overload(instance, res, cap)
         if res.metrics.max_exceeded <= 0:
             if res.metrics.reward >= incumbent.metrics.reward:
                 incumbent = res
@@ -107,9 +105,9 @@ def capacity_sweep(
     """One pipeline run per capacity factor.
 
     A factor whose run exhausts ``node_budget`` becomes an error entry; any
-    other error, an internal invariant violation among them, propagates.
-    Runs at budgets up to the total capacity are checked against the
-    variant's proven overload bound.
+    other error propagates, among them the ``InconsistentSolutionError`` that
+    ``run_algorithm`` raises when a run at a budget up to the total capacity
+    breaks the variant's proven overload bound.
     The selection problem is built once, at the largest budget, and made at
     every budget before the first run, so the weight DP's forward pass is
     built once, at the largest budget it takes.
@@ -121,7 +119,6 @@ def capacity_sweep(
     budgets = [int(f * cap_sum) for f in factors]  # floor
     problem = _shared_problem(instance, variant, max(budgets, default=0), d_set)
     probes = [None if problem is None else problem.at(b) for b in budgets]
-    cap = pipeline.overload_cap(instance, variant, d_set)
     out: list[SweepEntry] = []
     for f, budget, probe in zip(factors, budgets, probes):
         try:
@@ -134,7 +131,6 @@ def capacity_sweep(
                 node_budget=node_budget,
                 problem=probe,
             )
-            pipeline.check_overload(instance, res, cap, budget)
             out.append(SweepEntry(factor=f, result=res))
         except BudgetExceededError as exc:
             out.append(SweepEntry(factor=f, result=None, error=str(exc)))

@@ -62,7 +62,10 @@ def run_algorithm(
     subproblem exactly.  ``total_capacity`` overrides the aggregate
     budget only (cut rows keep their own right-hand sides).  ``problem`` is
     that subproblem when the caller has built it already (``SelectionProblem.at``
-    makes one per budget); otherwise it is built here.
+    makes one per budget); otherwise it is built here.  A max overload above
+    the variant's proven bound, ``floor(beta * c_max)``, raises
+    ``InconsistentSolutionError``; the bound holds, and is checked, only at
+    aggregate budgets up to the instance's total capacity.
     """
     t0 = time.perf_counter()
     if variant == VARIANT_LP:
@@ -81,11 +84,17 @@ def run_algorithm(
     if swap_opt:
         assignment = assign.swap_optimal(instance, assignment)
     t3 = time.perf_counter()
+    result_metrics = metrics(instance, selection, assignment)
+    if total_capacity is None or total_capacity <= instance.total_capacity:
+        cap = floor(beta_bound_for(instance, variant, d_set) * instance.c_max)
+        if result_metrics.max_exceeded > cap:
+            raise InconsistentSolutionError(
+                f"{variant} overload {result_metrics.max_exceeded} exceeds its proven bound {cap}")
     return SolveResult(
         algorithm=variant,
         selection=selection,
         assignment=assignment,
-        metrics=metrics(instance, selection, assignment),
+        metrics=result_metrics,
         timings_ms={
             "selection": (t1 - t0) * 1000.0,
             "assignment": (t2 - t1) * 1000.0,
@@ -102,6 +111,8 @@ def run_best(
 
     Winner = smallest maximum overload, ties broken by larger reward,
     then by variant order.  The result keeps the winning variant's tag.
+    ``run_algorithm`` checks each of the four runs, not only the winner,
+    against its own proven overload bound.
     """
     best = None
     for v in (VARIANT_LP, subset_select.VARIANT_KP,
@@ -138,11 +149,12 @@ def powers_of_common_base(values: Iterable[int]) -> Optional[int]:
 
 def beta_bound_for(
     instance: Instance, variant: str, d_set: Optional[Iterable[Fraction]] = None
-) -> Optional[Fraction]:
+) -> Fraction:
     """The proven overload bound (as a fraction of the largest capacity).
 
     Each variant reads only what its bound depends on, so the common-base
     scan over every item weight runs for ``kp`` and ``mkpprime`` alone.
+    Raises ``ValueError`` on an unknown variant.
     """
     equal_caps = len(set(instance.capacities)) == 1
     c_max = instance.c_max
@@ -164,46 +176,14 @@ def beta_bound_for(
     if variant == subset_select.VARIANT_3MKP:
         return Fraction(1, 3) if equal_caps else Fraction(1, 2)
     if variant == subset_select.VARIANT_MKPD:
-        ds = {Fraction(d) for d in d_set} if d_set is not None else set()
-        if Fraction(c_max, 2) in ds and Fraction(c_max, 3) in ds and equal_caps:
-            return Fraction(1, 3)
-        if Fraction(c_max, 2) in ds:
-            return Fraction(1, 2)
-        return Fraction(1)  # still a relaxation of the aggregate row
+        # membership, no conversion: every run checks its bound, and 100mkp's
+        # set holds c_max - 1 thresholds
+        ds = () if d_set is None else d_set
+        if Fraction(c_max, 2) not in ds:
+            return Fraction(1)  # still a relaxation of the aggregate row
+        return Fraction(1, 3) if equal_caps and Fraction(c_max, 3) in ds else Fraction(1, 2)
     if variant == subset_select.VARIANT_MKP_PRIME:
         if has_common_base():
             return Fraction(0)
         return Fraction(1)
-    return None
-
-
-def overload_cap(
-    instance: Instance, variant: str, d_set: Optional[Iterable[Fraction]] = None
-) -> Optional[int]:
-    """The largest max overload the variant's proven bound allows, or None without one.
-
-    That is ``floor(beta * c_max)`` with ``beta`` from ``beta_bound_for``.
-    """
-    beta = beta_bound_for(instance, variant, d_set)
-    return None if beta is None else floor(beta * instance.c_max)
-
-
-def check_overload(
-    instance: Instance,
-    result: SolveResult,
-    cap: Optional[int],
-    total_capacity: Optional[int] = None,
-) -> None:
-    """Raise ``InconsistentSolutionError`` if ``result``'s max overload exceeds ``cap``.
-
-    ``cap`` comes from ``overload_cap``.  The bound holds for an aggregate
-    budget up to the instance's total capacity, so a run at a larger
-    ``total_capacity`` is not checked.
-    """
-    if total_capacity is not None and total_capacity > instance.total_capacity:
-        return
-    if cap is not None and result.metrics.max_exceeded > cap:
-        raise InconsistentSolutionError(
-            f"{result.algorithm} overload {result.metrics.max_exceeded} exceeds its proven "
-            f"bound {cap}"
-        )
+    raise ValueError(f"unknown variant {variant!r}")

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from math import prod
 from pathlib import Path
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 import gmkp
 from gmkp import assign, gen, pipeline, subset_select
 from gmkp.cli import (
+    ALGO_CHOICES,
     EXIT_BUDGET,
     EXIT_INPUT,
     EXIT_INTERNAL,
@@ -48,21 +50,24 @@ def run_cli(*argv, timeout=None):
                           capture_output=True, text=True, env=env, timeout=timeout)
 
 
+SAMPLE = make([10, 10], [6, 4, 5, 3], [(0, 1), (2,), (3,)], [10, 5, 3])
+# Rewards that differ from group weights send selection to branch-and-bound.
+NOISY_GROUPS = [{"reward": 9, "items": [6, 3]}, {"reward": 9, "items": [5, 4]},
+                {"reward": 40, "items": [7]}]
+
+
 @pytest.fixture
 def noisy(tmp_path):
-    """Rewards that differ from group weights send selection to branch-and-bound."""
     path = tmp_path / "inst_noisy.json"
-    write_doc(path, [{"reward": 9, "items": [6, 3]}, {"reward": 9, "items": [5, 4]},
-                     {"reward": 40, "items": [7]}])
+    write_doc(path, NOISY_GROUPS)
     return path
 
 
 @pytest.fixture
 def sample(tmp_path):
-    inst = make([10, 10], [6, 4, 5, 3], [(0, 1), (2,), (3,)], [10, 5, 3])
     path = tmp_path / "inst.json"
-    write_instance(path, inst)
-    return inst, path
+    write_instance(path, SAMPLE)
+    return SAMPLE, path
 
 
 class TestSerialization:
@@ -280,12 +285,21 @@ class TestSolve:
         doc = json.loads(out.read_text())
         assert doc["reward"] == 7700 and doc["max_exceeded"] <= 100 // 3
 
-    @pytest.mark.parametrize("command", ["solve", "feasible", "sweep"])
-    def test_overload_over_the_proven_bound_exits_4(self, command, sample, tmp_path,
-                                                    monkeypatch, capsys):
-        # a bound of -2 * c_max: every placement breaks it
-        monkeypatch.setattr(pipeline, "beta_bound_for", lambda *args: Fraction(-2))
-        argv = [command, str(sample[1]), "--algo", "2mkp", "--out", str(tmp_path / "r")]
+    @pytest.mark.parametrize(
+        "command, algo, broken",
+        [("solve", "2mkp", "2mkp"), ("feasible", "2mkp", "2mkp"), ("sweep", "2mkp", "2mkp"),
+         ("solve", "best", "3mkp")],
+        ids=["solve", "feasible", "sweep", "best-loser"],
+    )
+    def test_overload_over_the_proven_bound_exits_4(self, command, algo, broken, sample,
+                                                    tmp_path, monkeypatch, capsys):
+        # every run of best ties, and lp, first in order, wins: 3mkp loses
+        assert pipeline.run_best(sample[0]).algorithm != broken
+        # a bound of -2 * c_max for ``broken``: every placement breaks it
+        bound = pipeline.beta_bound_for
+        monkeypatch.setattr(pipeline, "beta_bound_for", lambda inst, variant, d_set: (
+            Fraction(-2) if variant == broken else bound(inst, variant, d_set)))
+        argv = [command, str(sample[1]), "--algo", algo, "--out", str(tmp_path / "r")]
         assert main(argv) == EXIT_INTERNAL
         assert "exceeds its proven bound" in capsys.readouterr().err
 
@@ -459,39 +473,61 @@ class TestBench:
         )
 
 
+def argv_names(root):
+    """Write the files the argv cases name under ``root``; map each placeholder to its path."""
+    inst, noisy = root / "inst.json", root / "inst_noisy.json"
+    write_instance(inst, SAMPLE)
+    write_doc(noisy, NOISY_GROUPS)
+    no_groups, text_weight = root / "no_groups.json", root / "text_weight.json"
+    no_groups.write_text(json.dumps({"schema": "gmkp/1", "capacities": [10, 10]}))
+    write_doc(text_weight, [{"reward": 5, "items": ["a"]}])
+    # nested deeper than the JSON decoder's recursion limit
+    nested = "[" * 200_000 + "]" * 200_000
+    deep, deep_meta = root / "deep.json", root / "deep_meta.json"
+    deep.write_text(nested)
+    deep_meta.write_text('{"schema": "gmkp/1", "capacities": [10, 10], '
+                         f'"groups": [{{"reward": 3, "items": [3]}}], "meta": {{"id": {nested}}}}}')
+    return {"inst": inst, "noisy": noisy, "out": root / "o.csv", "no_groups": no_groups,
+            "text_weight": text_weight, "gen": root / "gen", "dir": root,
+            "missing": root / "missing", "deep": deep, "deep_meta": deep_meta}
+
+
+INPUT_ERROR_ARGVS = [
+    ["sweep", "{inst}", "--factors", "1,abc", "--out", "{out}"],
+    ["sweep", "{inst}", "--factors", "0,1", "--out", "{out}"],
+    ["sweep", "{inst}", "--factors", "", "--out", "{out}"],
+    ["solve", "{no_groups}"],
+    ["solve", "{text_weight}"],
+    ["feasible", "{inst}", "--algo", "mkpd"],
+    ["sweep", "{inst}", "--algo", "mkpd", "--out", "{out}"],
+    ["sweep", "{inst}", "--algo", "best", "--out", "{out}"],
+    ["solve", "{inst}", "--algo", "kp", "--d-set", "5"],
+    ["solve", "{inst}", "--algo", "mkpd", "--d-set", "0,5"],
+    ["solve", "{inst}", "--algo", "best", "--total-capacity", "5"],
+    ["solve", "{inst}", "--algo", "lp", "--total-capacity", "-5"],
+    ["solve", "{inst}", "--algo", "kp", "--total-capacity", "-5"],
+    ["generate", "--count", "0", "--out-dir", "{gen}"],
+    ["generate", "--count", "-1", "--out-dir", "{gen}"],
+    ["generate", "--capacity", "0", "--out-dir", "{gen}"],
+    ["solve", "{inst}", "--out", "{missing}/x.json"],
+    ["sweep", "{inst}", "--out", "{missing}/x.csv"],
+    ["bench", "--instances", "{dir}", "--algos", "lp", "--out", "{missing}/b.csv"],
+    ["generate", "--count", "1", "--out-dir", "{inst}"],
+    ["solve", "{inst}", "--algo", "kp", "--node-budget", "-5"],
+    ["feasible", "{inst}", "--node-budget", "-1"],
+    ["sweep", "{inst}", "--node-budget", "-1", "--out", "{out}"],
+    ["exact", "{inst}", "--node-budget", "-1"],
+    ["bench", "--instances", "{dir}", "--algos", "lp", "--node-budget", "-1",
+     "--out", "{out}"],
+    ["bench", "--instances", "{dir}", "--algos", "mkpd", "--out", "{out}"],
+    ["solve", "{deep}"],
+    ["solve", "{deep_meta}"],
+]
+
+
 @pytest.mark.parametrize(
     "argv",
-    [
-        ["sweep", "{inst}", "--factors", "1,abc", "--out", "{out}"],
-        ["sweep", "{inst}", "--factors", "0,1", "--out", "{out}"],
-        ["sweep", "{inst}", "--factors", "", "--out", "{out}"],
-        ["solve", "{no_groups}"],
-        ["solve", "{text_weight}"],
-        ["feasible", "{inst}", "--algo", "mkpd"],
-        ["sweep", "{inst}", "--algo", "mkpd", "--out", "{out}"],
-        ["sweep", "{inst}", "--algo", "best", "--out", "{out}"],
-        ["solve", "{inst}", "--algo", "kp", "--d-set", "5"],
-        ["solve", "{inst}", "--algo", "mkpd", "--d-set", "0,5"],
-        ["solve", "{inst}", "--algo", "best", "--total-capacity", "5"],
-        ["solve", "{inst}", "--algo", "lp", "--total-capacity", "-5"],
-        ["solve", "{inst}", "--algo", "kp", "--total-capacity", "-5"],
-        ["generate", "--count", "0", "--out-dir", "{gen}"],
-        ["generate", "--count", "-1", "--out-dir", "{gen}"],
-        ["generate", "--capacity", "0", "--out-dir", "{gen}"],
-        ["solve", "{inst}", "--out", "{missing}/x.json"],
-        ["sweep", "{inst}", "--out", "{missing}/x.csv"],
-        ["bench", "--instances", "{dir}", "--algos", "lp", "--out", "{missing}/b.csv"],
-        ["generate", "--count", "1", "--out-dir", "{inst}"],
-        ["solve", "{inst}", "--algo", "kp", "--node-budget", "-5"],
-        ["feasible", "{inst}", "--node-budget", "-1"],
-        ["sweep", "{inst}", "--node-budget", "-1", "--out", "{out}"],
-        ["exact", "{inst}", "--node-budget", "-1"],
-        ["bench", "--instances", "{dir}", "--algos", "lp", "--node-budget", "-1",
-         "--out", "{out}"],
-        ["bench", "--instances", "{dir}", "--algos", "mkpd", "--out", "{out}"],
-        ["solve", "{deep}"],
-        ["solve", "{deep_meta}"],
-    ],
+    INPUT_ERROR_ARGVS,
     ids=["factor-text", "factor-zero", "sweep-empty-factors", "no-groups", "text-weight",
          "feasible-mkpd", "sweep-mkpd", "sweep-best", "kp-d-set", "zero-threshold",
          "best-total-capacity",
@@ -502,23 +538,88 @@ class TestBench:
          "sweep-negative-budget", "exact-negative-budget", "bench-negative-budget", "bench-mkpd",
          "deep-nesting", "deep-meta"],
 )
-def test_input_error_exits_2_without_traceback(argv, sample, noisy, tmp_path):
-    no_groups, text_weight = tmp_path / "no_groups.json", tmp_path / "text_weight.json"
-    no_groups.write_text(json.dumps({"schema": "gmkp/1", "capacities": [10, 10]}))
-    write_doc(text_weight, [{"reward": 5, "items": ["a"]}])
-    # nested deeper than the JSON decoder's recursion limit
-    nested = "[" * 200_000 + "]" * 200_000
-    deep, deep_meta = tmp_path / "deep.json", tmp_path / "deep_meta.json"
-    deep.write_text(nested)
-    deep_meta.write_text('{"schema": "gmkp/1", "capacities": [10, 10], '
-                         f'"groups": [{{"reward": 3, "items": [3]}}], "meta": {{"id": {nested}}}}}')
-    names = {"inst": sample[1], "out": tmp_path / "o.csv", "no_groups": no_groups,
-             "text_weight": text_weight, "gen": tmp_path / "gen", "dir": noisy.parent,
-             "missing": tmp_path / "missing", "deep": deep, "deep_meta": deep_meta}
+def test_input_error_exits_2_without_traceback(argv, tmp_path):
+    names = argv_names(tmp_path)
     proc = run_cli(*(a.format(**names) for a in argv))
     assert proc.returncode == EXIT_INPUT, proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "gen").exists()
+
+
+NUMBERS = st.integers(-3, 200).map(str)
+JUNK = NUMBERS | st.sampled_from(["", "abc", "-", "1/0", "{missing}/x", "{no_groups}", "{deep}"])
+SWITCH = None  # a flag that takes no value
+ALGO_FLAGS = {"--algo": list(ALGO_CHOICES), "--d-set": ["canonical", "10/2,10/3", "0,1"],
+              "--node-budget": [], "--out": ["r.json", "{out}"]}
+FLAGS = {  # each subcommand's flags with their typical values; [] stands for numbers
+    "generate": {"--count": [], "--seed": [], "--capacity": [], "--reward-scheme": ["R0", "R3"],
+                 "--out-dir": ["gen", "{inst}"]},
+    "solve": {**ALGO_FLAGS, "--total-capacity": [], "--swap-opt": SWITCH},
+    "feasible": {**ALGO_FLAGS, "--no-swap-opt": SWITCH},
+    "sweep": {**ALGO_FLAGS, "--factors": ["1", "1/2,1", "3/4,5/4"], "--no-swap-opt": SWITCH},
+    "exact": {"--node-budget": [], "--out": ["r.json"]},
+    "bench": {"--instances": ["{dir}", "."], "--algos": ["lp", "lp,kp", "best", "3mkp,mkpprime"],
+              "--swap-opt": SWITCH, "--node-budget": [], "--out": ["b.csv"],
+              "--summary": ["s.csv"]},
+}
+FOREIGN = ["--help", "--bogus", "-z", "--count", "--factors", "--instances"]
+
+
+@st.composite
+def argvs(draw):
+    """A case of ``INPUT_ERROR_ARGVS`` or a subcommand and its input, plus up to four options.
+
+    An option is mostly one of the subcommand's flags; its value is typical, junk or missing.
+    """
+    if draw(st.booleans()):
+        argv = list(draw(st.sampled_from(INPUT_ERROR_ARGVS)))
+    else:
+        argv = [draw(st.sampled_from([*FLAGS, "nope"]))]
+        if argv[0] == "bench":
+            argv += ["--instances", "{dir}"]
+        elif argv[0] != "generate":
+            argv.append(draw(st.sampled_from(["{inst}", "{noisy}"])))
+        if argv[0] in ("sweep", "bench"):  # their one required option
+            argv += ["--out", "o.csv"]
+    flags = FLAGS.get(argv[0], {})
+    for _ in range(draw(st.integers(0, 4))):
+        if flags and draw(st.integers(0, 5)) < 5:
+            flag = draw(st.sampled_from(sorted(flags)))
+            typical = flags[flag]
+        else:
+            flag, typical = draw(st.sampled_from(FOREIGN)), []
+        option = [flag]
+        if typical is not SWITCH and draw(st.integers(0, 9)) < 9:  # no value once in ten
+            usual = st.sampled_from(typical) if typical else NUMBERS
+            option.append(draw(usual if draw(st.integers(0, 3)) < 3 else JUNK))
+        argv += option
+    if len(argv) > 1 and draw(st.integers(0, 5)) == 5:
+        del argv[draw(st.integers(1, len(argv) - 1))]
+    # at most 3 instances per generate: their count and the default 10 are slow
+    argv = ["3" if prev == "--count" and a.isdigit() and int(a) > 3 else a
+            for prev, a in zip([None, *argv], argv)]
+    if "generate" in argv and "--count" not in argv:
+        argv += ["--count", "1"]
+    return argv
+
+
+@given(argv=argvs())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_argv_keeps_the_exit_code_contract(argv, tmp_path, monkeypatch, capsys):
+    with tempfile.TemporaryDirectory(dir=tmp_path) as work:
+        # a relative output path, or generate's default directory, lands in ``work``
+        monkeypatch.chdir(work)
+        names = argv_names(Path(work))
+        try:
+            code = main([a.format(**names) for a in argv])
+        except SystemExit as exc:  # argparse: --help exits 0, a usage error 2
+            assert exc.code in (0, 2), argv
+        else:
+            # 4 flags a broken internal invariant, which no argv may reach
+            assert code in (EXIT_OK, EXIT_INPUT, EXIT_BUDGET), argv
+        monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
 
 
 ANY_JSON = st.recursive(

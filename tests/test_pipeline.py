@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from gmkp.model import metrics
+from gmkp import pipeline
+from gmkp.model import InconsistentSolutionError, metrics
 from gmkp.oracle import exact_gmkp
 from gmkp.pipeline import (
     ALL_VARIANTS,
@@ -51,6 +52,18 @@ class TestRunAlgorithm:
         assert res.algorithm == "mkpd"
         v_star, _, _ = exact_gmkp(inst)
         assert res.metrics.reward >= v_star
+
+    @pytest.mark.parametrize("total_capacity, raises", [(None, True), (20, True), (21, False)])
+    def test_checks_the_proven_bound_up_to_the_total_capacity(self, total_capacity, raises,
+                                                               monkeypatch):
+        # a bound of -2 * c_max: every placement breaks it
+        monkeypatch.setattr(pipeline, "beta_bound_for", lambda *args: Fraction(-2))
+        inst = make([10, 10], [6, 4, 5, 3], [(0, 1), (2,), (3,)], [10, 5, 3])
+        if raises:
+            with pytest.raises(InconsistentSolutionError, match="exceeds its proven bound"):
+                run_algorithm(inst, "2mkp", total_capacity=total_capacity)
+        else:
+            assert run_algorithm(inst, "2mkp", total_capacity=total_capacity).metrics.reward == 18
 
     def test_all_variants_tagged(self):
         inst = make([6, 6], [4, 3], [(0,), (1,)], [4, 3])
@@ -111,6 +124,11 @@ class TestBetaBounds:
         assert beta_bound_for(inst, "mkpd", d_set=[half]) == Fraction(1, 2)
         assert beta_bound_for(inst, "mkpd", d_set=[half, third]) == Fraction(1, 3)
         assert beta_bound_for(inst, "mkpd", d_set=[Fraction(5)]) == 1
+
+    def test_unknown_variant_raises(self):
+        inst = make([9, 9], [8, 4], [(0,), (1,)], [8, 4])
+        with pytest.raises(ValueError, match="unknown variant"):
+            beta_bound_for(inst, "nope")
 
     def test_special_cases_zero(self):
         heavy = make([8, 8], [5, 6], [(0,), (1,)], [5, 6])
