@@ -28,7 +28,7 @@ import time
 from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 from . import gen, heuristics, oracle, pipeline, subset_select
 from .model import (
@@ -182,7 +182,7 @@ def _fractions(text: str, option: str) -> list[Fraction]:
 
 def resolve_algo(
     instance: Instance, algo: str, d_set_text: Optional[str]
-) -> tuple[str, Optional[list[Fraction]]]:
+) -> tuple[str, Optional[Collection[Fraction]]]:
     """The pipeline variant and threshold set named by ``--algo`` and ``--d-set``.
 
     ``100mkp`` is ``mkpd`` with thresholds c/2 .. c/c.  ``mkpd`` takes its
@@ -198,7 +198,7 @@ def resolve_algo(
     if d_set_text is None:
         raise CliInputError("--algo mkpd requires --d-set")
     if d_set_text.strip() == "canonical":
-        return "mkpd", sorted(subset_select.canonical_D(instance), reverse=True)
+        return "mkpd", subset_select.canonical_D(instance)  # a set: the bound looks c/2 up
     return "mkpd", _fractions(d_set_text, "--d-set")
 
 

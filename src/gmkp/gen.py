@@ -48,8 +48,6 @@ class GeneratorParams:
             raise ValueError(f"w_min {self.w_min} outside [1, min({cap}/2, {cap}-w_split)]")
         if not self.w_min <= self.w_mode <= self.w_min + self.w_split:
             raise ValueError("w_mode outside [w_min, w_max]")
-        if self.w_min + self.w_split > cap:
-            raise ValueError("w_max exceeds capacity")
         if not 1 <= self.r_load <= 20:
             raise ValueError("r_load outside [1, 20]")
         if not 0 <= self.r_conc <= 1:
@@ -91,15 +89,18 @@ def latin_hypercube(count: int, seed: int) -> np.ndarray:
 def materialize(point, capacity: int = 100, seed: int = 0) -> GeneratorParams:
     """Map a unit-cube point to generator parameters.
 
-    Ranges: 2-100 knapsacks, weight spread 1-99, minimum weight capped at
-    half the capacity and at capacity minus the spread, mode inside the
-    weight range, load ratio 1-20, concentration 0-1.
+    Ranges: 2-100 knapsacks; weight spread 1-99 and below the capacity,
+    which must be at least 2; minimum weight capped at half the capacity and
+    at capacity minus the spread; mode inside the weight range; load ratio
+    1-20; concentration 0-1.
     """
     u1, u2, u3, u4, u5, u6 = (Fraction(float(u)) for u in point)
     if any(not 0 <= u < 1 for u in (u1, u2, u3, u4, u5, u6)):
         raise ValueError("coordinates must lie in [0, 1)")
+    if capacity < 2:
+        raise ValueError(f"capacity {capacity} is below 2")
     m = min(100, 2 + math.floor(u1 * 99))
-    w_split = 1 + math.floor(u2 * 99)
+    w_split = min(capacity - 1, 1 + math.floor(u2 * 99))
     w_min_hi = min(capacity // 2, capacity - w_split)
     w_min = min(w_min_hi, 1 + math.floor(u3 * w_min_hi))
     w_mode = w_min + math.floor(u4 * (w_split + 1))

@@ -109,8 +109,8 @@ def capacity_sweep(
     ``run_algorithm`` raises when a run at a budget up to the total capacity
     breaks the variant's proven overload bound.
     The selection problem is built once, at the largest budget, and made at
-    every budget before the first run, so the weight DP's forward pass is
-    built once, at the largest budget it takes.
+    every budget before the first run, so each weight-DP core's forward pass
+    is built once, at the largest budget it takes.
     """
     factors = [Fraction(f) for f in factors]
     if any(f <= 0 for f in factors):

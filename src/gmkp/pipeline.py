@@ -176,8 +176,8 @@ def beta_bound_for(
     if variant == subset_select.VARIANT_3MKP:
         return Fraction(1, 3) if equal_caps else Fraction(1, 2)
     if variant == subset_select.VARIANT_MKPD:
-        # membership, no conversion: every run checks its bound, and 100mkp's
-        # set holds c_max - 1 thresholds
+        # membership, no conversion: every run checks its bound; 100mkp's list
+        # starts at c_max/2, and `canonical` comes as a set
         ds = () if d_set is None else d_set
         if Fraction(c_max, 2) not in ds:
             return Fraction(1)  # still a relaxation of the aggregate row

@@ -26,17 +26,19 @@ class _Shared:
     """The work of ``solve_exact`` that no row-0 budget changes.
 
     One object serves a problem and every ``at`` made from it: the column
-    types and their branch order, the per-row ratio orders of the bound, and
-    the weight DP's forward pass.  ``budgets`` holds every row-0 budget that
-    the problem and its ``at`` copies were made at, so the forward pass is
-    built once, at the largest of them that the DP takes.
+    types and their branch order, the bound's per-row ratio orders, the core
+    order, and each core size's types, columns, totals and weight-DP tables.
+    ``budgets`` holds every row-0 budget that the problem and its ``at``
+    copies were made at, so a core's tables are built once, at the largest
+    of them that the DP takes.
     """
 
     def __init__(self):
         self.budgets: set[int] = set()
         self.types: Optional[tuple] = None  # (keys, members, p_t, cnt, col)
         self.ratio_orders: Optional[list[list[int]]] = None
-        self.tables: Optional[_WeightTables] = None
+        self.core_order: Optional[list[int]] = None
+        self.cores: dict[int, list] = {}  # size: [types, cnt, col, totals, tables]
 
     def column_types(self, problem: SelectionProblem) -> tuple:
         """Duplicate columns collapsed into types, in branch order.
@@ -79,22 +81,37 @@ class _Shared:
             ]
         return self.ratio_orders
 
-    def weight_tables(
-        self, cnt: list[int], col: list[list[int]], rhs_list: list[int]
-    ) -> _WeightTables:
-        """Forward-pass tables that answer the row-0 budget ``rhs_list[0]``.
+    def core(self, size: int, rhs_list: list[int]) -> Optional[tuple[list[int], _WeightTables]]:
+        """The first ``size`` types in core order, and weight-DP tables over them.
 
-        Built at the largest known budget at least ``rhs_list[0]`` whose
-        state space is within ``_WEIGHT_DP_LIMIT``, and rebuilt only for a
-        budget above the kept tables'.
+        The core order puts the least cut-row usage per unit row-0 weight
+        first, ties by branch order; a core keeps its types in branch order.
+        Each right-hand side is clipped to the core's total coefficient, which
+        removes no state the core reaches.  ``None`` when the clipped space at
+        the budget ``rhs_list[0]`` is over ``_WEIGHT_DP_LIMIT``.  The tables
+        are built at the largest known budget whose clipped space fits.
         """
-        budget = rhs_list[0]
-        if self.tables is None or self.tables.top < budget:
-            cut_space = prod(r + 1 for r in rhs_list[1:])
-            fitting = (b for b in self.budgets if (b + 1) * cut_space <= _WEIGHT_DP_LIMIT)
-            top = max((b for b in fitting if b >= budget), default=budget)
-            self.tables = _WeightTables(len(cnt), cnt, col, [top, *rhs_list[1:]])
-        return self.tables
+        cnt, col = self.types[3:]
+        T = len(cnt)
+        size = min(size, T)
+        if size not in self.cores:
+            if size < T and self.core_order is None:
+                self.core_order = sorted(range(T), key=lambda t: (
+                    (0, Fraction(sum(c[t] for c in col[1:]), col[0][t])) if col[0][t] else (1, 0), t))
+            types = sorted(self.core_order[:size]) if size < T else list(range(T))
+            core_cnt = [cnt[t] for t in types]
+            core_col = [[c[t] for t in types] for c in col]
+            totals = [sum(c * n for c, n in zip(coeffs, core_cnt)) for coeffs in core_col]
+            self.cores[size] = [types, core_cnt, core_col, totals, None]
+        types, core_cnt, core_col, totals, tables = entry = self.cores[size]
+        clipped = [min(rhs, total) for rhs, total in zip(rhs_list, totals)]
+        cut_space = prod(r + 1 for r in clipped[1:])
+        if (clipped[0] + 1) * cut_space > _WEIGHT_DP_LIMIT:
+            return None
+        if tables is None or tables.top < clipped[0]:
+            top = max(b for b in self.budgets if (min(b, totals[0]) + 1) * cut_space <= _WEIGHT_DP_LIMIT)
+            entry[4] = tables = _WeightTables(size, core_cnt, core_col, [min(top, totals[0]), *clipped[1:]])
+        return types, tables
 
 
 @dataclass(frozen=True)
@@ -383,22 +400,19 @@ def solve_exact(problem: SelectionProblem, node_budget: Optional[int] = None) ->
     the fractional relaxation of some row alone, computed in exact integers,
     cannot beat the incumbent.  No float is computed.  The result is the
     first optimal node in pre-order, which depends on the branch order only,
-    never on the bound.  When rewards equal the row-0 coefficients and the
-    cut-row state space is small, ``_greatest_weight_counts`` answers
-    instead.  When the space is over ``_WEIGHT_DP_LIMIT``, the same DP runs
-    first on a core of the types: the least cut-row usage per unit row-0
-    weight first (ties by branch order), kept in branch order, each
-    right-hand side clipped to the core's total coefficient.  The core
-    starts at 16 types and doubles while its clipped space is within the
-    limit and the root bound can beat its best.  A best the root bound
-    cannot beat, or one over every type, is optimal and returned; otherwise
-    it is the search's starting incumbent.  An incumbent below the optimum
-    changes no node the search returns, so the core changes a result only
-    where it reaches the optimum.  Deterministic; raises
-    ``BudgetExceededError`` when ``node_budget`` nodes are expanded without
-    a proof of optimality (never returns a silently suboptimal answer).  The
-    types, the bound's ratio orders and the DP's forward pass are kept for
-    every ``at`` of the problem.
+    never on the bound.  When rewards equal the row-0 coefficients, the
+    weight DP (``_greatest_weight_counts``) runs first on a core of the
+    types (``_Shared.core``): every type when the full state space is within
+    ``_WEIGHT_DP_LIMIT``, else 16 types, doubling while the clipped space is
+    within the limit and the root bound can beat the core's best.  A best
+    over every type, or one the root bound cannot beat, is optimal and
+    returned; otherwise it is the search's starting incumbent.  An incumbent
+    below the optimum changes no node the search returns, so the core
+    changes a result only where it reaches the optimum.  Deterministic;
+    raises ``BudgetExceededError`` when ``node_budget`` nodes are expanded
+    without a proof of optimality (never returns a silently suboptimal
+    answer).  The types, the bound's ratio orders and each core's DP tables
+    are kept for every ``at`` of the problem.
     """
     k = problem.k
     num_rows = len(problem.rows)
@@ -407,13 +421,12 @@ def solve_exact(problem: SelectionProblem, node_budget: Optional[int] = None) ->
     keys, members, p_t, cnt, col = shared.column_types(problem)
     T = len(keys)
 
-    # Rewards equal to row-0 coefficients and a small state space: the weight DP.
+    # Rewards equal to row-0 coefficients and a small state space: a core of
+    # every type, which needs no bound.
     weight_objective = p_t == col[0] and min(rhs_list) >= 0
-    if weight_objective and prod(r + 1 for r in rhs_list) <= _WEIGHT_DP_LIMIT:
-        tables = shared.weight_tables(cnt, col, rhs_list)
-        return _taking(k, keys, members, _greatest_weight_counts(tables, rhs_list[0]))
-
-    bound_rows = list(zip(col, rhs_list, shared.bound_orders(p_t, col)))
+    full = weight_objective and prod(r + 1 for r in rhs_list) <= _WEIGHT_DP_LIMIT
+    if not full:
+        bound_rows = list(zip(col, rhs_list, shared.bound_orders(p_t, col)))
 
     def can_improve(pos: int, used: list[int], value: int, best: int) -> bool:
         """True iff every row's fractional bound strictly exceeds ``best``.
@@ -454,37 +467,22 @@ def solve_exact(problem: SelectionProblem, node_budget: Optional[int] = None) ->
     best_value = -1
     best_counts: list[int] = [0] * T
 
-    # Weight objective over a large state space: the weight DP over a core of
-    # the types, the least cut-row usage per unit weight first, each right-hand
-    # side clipped to what the core can use.  The core doubles while its space
-    # fits and the root bound can beat its best; that best starts the search.
-    if weight_objective:
-        order = sorted(range(T), key=lambda t: (
-            (0, Fraction(sum(c[t] for c in col[1:]), col[0][t])) if col[0][t] else (1, 0), t))
-        size = 16
-        while True:
-            core = sorted(order[:size])
-            core_col = [[c[t] for t in core] for c in col]
-            core_cnt = [cnt[t] for t in core]
-            core_rhs = [
-                min(rhs, sum(c * n for c, n in zip(coeffs, core_cnt)))
-                for coeffs, rhs in zip(core_col, rhs_list)
-            ]
-            if prod(r + 1 for r in core_rhs) > _WEIGHT_DP_LIMIT:
-                break
-            core_counts = _greatest_weight_counts(
-                _WeightTables(len(core), core_cnt, core_col, core_rhs), core_rhs[0]
-            )
-            value = sum(q * p_t[t] for q, t in zip(core_counts, core))
-            if value > best_value:
-                best_value, best_counts = value, [0] * T
-                for q, t in zip(core_counts, core):
-                    best_counts[t] = q
-            # Every type in the core makes the DP exact; a root bound at most
-            # its best proves the best optimal.
-            if size >= T or not can_improve(0, [0] * num_rows, 0, best_value):
-                return _taking(k, keys, members, best_counts)
-            size *= 2
+    # Weight objective: the weight DP over a core of the types, doubling while
+    # its space fits and the root bound can beat its best, which starts the search.
+    size = T if full else 16
+    while weight_objective and (core := shared.core(size, rhs_list)) is not None:
+        types, tables = core
+        core_counts = _greatest_weight_counts(tables, min(rhs_list[0], tables.top))
+        value = sum(q * p_t[t] for q, t in zip(core_counts, types))
+        if value > best_value:
+            best_value, best_counts = value, [0] * T
+            for q, t in zip(core_counts, types):
+                best_counts[t] = q
+        # Every type in the core makes the DP exact; a root bound at most
+        # its best proves the best optimal.
+        if size >= T or not can_improve(0, [0] * num_rows, 0, best_value):
+            return _taking(k, keys, members, best_counts)
+        size *= 2
 
     # Depth-first search in pre-order: an entry is a node with ``q`` copies
     # of type ``pos - 1``, and siblings are pushed fewest-copies-first so

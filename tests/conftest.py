@@ -72,25 +72,22 @@ def group_ranges(instance: Instance) -> list[range]:
     return [range(a, b) for a, b in bounds]
 
 
-def recording_tables(monkeypatch) -> list[int]:
-    """Patch the weight DP to record the budget of each full-width forward pass built.
+def recording_tables(monkeypatch) -> list[tuple[int, int]]:
+    """Patch the weight DP to record ``(types, top)`` for each forward pass built.
 
-    A full-width pass covers every column type at the problem's own cut
-    right-hand sides; ``_Shared.weight_tables`` builds and keeps it.  The
-    small tables of a core are not recorded.
+    ``_Shared.core`` builds the pass of each core size, the full DP being the
+    core of every type, and keeps it for every ``at`` of the problem.  A
+    pass's top is its row-0 budget clipped to the core's total weight.
     """
-    tops: list[int] = []
-    weight_tables = subset_select._Shared.weight_tables
+    built: list[tuple[int, int]] = []
 
-    def recording(shared, cnt, col, rhs_list):
-        kept = shared.tables
-        tables = weight_tables(shared, cnt, col, rhs_list)
-        if tables is not kept:
-            tops.append(tables.top)
-        return tables
+    class Recording(subset_select._WeightTables):
+        def __init__(self, T, cnt, col, rhs_list):
+            built.append((T, rhs_list[0]))
+            super().__init__(T, cnt, col, rhs_list)
 
-    monkeypatch.setattr(subset_select._Shared, "weight_tables", recording)
-    return tops
+    monkeypatch.setattr(subset_select, "_WeightTables", Recording)
+    return built
 
 
 @pytest.fixture(scope="session")

@@ -29,9 +29,10 @@ from gmkp.cli import (
     instance_to_json,
     json_text,
     main,
+    resolve_algo,
 )
-from gmkp.model import InconsistentSolutionError
-from conftest import make
+from gmkp.model import InconsistentSolutionError, validate
+from conftest import make, random_small_instance
 
 
 def write_instance(path, instance):
@@ -160,6 +161,19 @@ class TestGenerate:
         )
         assert proc.returncode == 0 and proc.stdout.strip() == "False", proc.stderr
 
+    def test_small_capacity_writes_valid_instances(self, tmp_path, capsys):
+        # the weight spread stays below the capacity, so every design point
+        # has a valid minimum weight; a capacity below 2 has none
+        out = tmp_path / "gen"
+        argv = ["generate", "--count", "3", "--seed", "7", "--out-dir", str(out)]
+        assert main([*argv, "--capacity", "50"]) == EXIT_OK
+        files = sorted(out.glob("inst_*.json"))
+        assert len(files) == 3
+        for path in files:
+            assert validate(instance_from_json(json.loads(path.read_text()))) == []
+        assert main([*argv, "--capacity", "1"]) == EXIT_INPUT
+        assert "capacity 1 " in capsys.readouterr().err
+
     def test_out_dir_variable_read_at_each_call(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv("GMKP_OUT_DIR", raising=False)
@@ -255,6 +269,34 @@ class TestSolve:
             doc = json.loads(out.read_text())
             docs.append({key: doc[key] for key in ("selection", "assignment", "loads", "reward")})
         assert docs[0] == docs[1]
+
+    def test_canonical_set_and_sorted_list_agree(self, tmp_path, monkeypatch):
+        # `canonical` passes canonical_D's set through, which build_problem
+        # sorts and the bound looks c_max/2 up in; the sorted list it replaced
+        # gives the same bound and the same output
+        canonical_D = subset_select.canonical_D
+        rng = random.Random(71)
+        bounds = set()
+        for trial in range(8):
+            inst = random_small_instance(rng)
+            variant, d_set = resolve_algo(inst, "mkpd", "canonical")
+            listed = sorted(d_set, reverse=True)
+            assert d_set == canonical_D(inst)
+            bound = pipeline.beta_bound_for(inst, variant, d_set)
+            assert bound == pipeline.beta_bound_for(inst, variant, listed)
+            bounds.add(bound)
+            path, docs = tmp_path / f"inst{trial}.json", []
+            write_instance(path, inst)
+            for found in (canonical_D, lambda inst: sorted(canonical_D(inst), reverse=True)):
+                monkeypatch.setattr(subset_select, "canonical_D", found)
+                out = tmp_path / "r.json"
+                argv = ["solve", str(path), "--algo", "mkpd", "--d-set", "canonical"]
+                assert main([*argv, "--out", str(out)]) == EXIT_OK
+                docs.append(json.loads(out.read_text()))
+                del docs[-1]["timings_ms"]
+            monkeypatch.undo()
+            assert docs[0] == docs[1]
+        assert len(bounds) > 1
 
     def test_hundred_mkp_alias(self, sample, tmp_path):
         _, path = sample

@@ -169,17 +169,18 @@ class TestSharedProblemHeuristics:
             assert raised and errors
 
     def test_huge_factor_builds_no_large_dp_table(self, monkeypatch):
-        # 1/100 takes the weight DP, 10**400 branch and bound: the forward
-        # pass is built at the small budget, never near the DP's limit
-        tops = recording_tables(monkeypatch)
+        # 1/100 takes the full weight DP, 10**400 the DP over every type with
+        # each right-hand side clipped to the total coefficient: one forward
+        # pass, at the total weight, serves both, never near the DP's limit
+        built = recording_tables(monkeypatch)
         factors = [Fraction(1, 100), Fraction("1e400")]
         rng = random.Random(57)
         for _ in range(10):
             inst = random_small_instance(rng, reward_mode="weight")
             for variant in ("kp", "2mkp", "3mkp"):
-                tops.clear()
+                built.clear()
                 got = capacity_sweep(inst, variant, factors=factors)
-                assert tops == [inst.total_capacity // 100]
+                assert [t for _, t in built] == [sum(inst.group_weights())]
                 want = reference_sweep(inst, variant, factors)
                 assert [(e.factor, outcome(e.result), e.error) for e in got] == [
                     (f, outcome(res), err) for f, res, err in want

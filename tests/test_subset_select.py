@@ -431,7 +431,7 @@ class TestSharedProblem:
     def test_probes_match_fresh_solves(self, tag, monkeypatch):
         # R0 rewards are the group weights, so every probe takes the weight
         # DP; R1 and R3 rewards take branch and bound
-        tops = recording_tables(monkeypatch)
+        built = recording_tables(monkeypatch)
         rng = random.Random(23)
         for trial in range(25):
             base = random_small_instance(rng, reward_mode="weight")
@@ -449,44 +449,84 @@ class TestSharedProblem:
                 }
                 for order in (budgets, budgets[::-1], rng.sample(budgets, len(budgets))):
                     family = build_problem(inst, variant, total_capacity=top, d_set=d_set)
-                    tops.clear()
+                    built.clear()
                     for b in order:
                         assert solve_exact(family.at(b)) == fresh[b], (inst, variant, b)
-                    # one forward pass, at the top budget, served every probe
+                    # one forward pass over every type, at the top budget
+                    # clipped to the total weight, served every probe
                     space = prod(rhs + 1 for _, rhs in family.rows)
-                    assert tops == ([top] if tag == "R0" and space <= _WEIGHT_DP_LIMIT else [])
+                    assert space <= _WEIGHT_DP_LIMIT
+                    tops = [t for _, t in built]
+                    assert tops == ([min(top, sum(family.rows[0][0]))] if tag == "R0" else [])
 
     def test_top_budget_over_the_dp_limit(self, monkeypatch):
-        # budgets up to top // 2 take the weight DP, larger ones branch and bound
-        tops = recording_tables(monkeypatch)
+        # budgets up to top // 2 take the full weight DP; larger ones take it
+        # while the space with each right-hand side clipped to the total
+        # coefficient fits, and branch and bound above
+        built = recording_tables(monkeypatch)
         rng = random.Random(24)
         for _ in range(20):
             inst = random_small_instance(rng, reward_mode="weight")
             top = inst.total_capacity
             budgets = list(range(top + 1))
             for variant in ("kp", "2mkp", "3mkp"):
-                cut_space = prod(rhs + 1 for _, rhs in build_problem(inst, variant).rows[1:])
-                monkeypatch.setattr(subset_select, "_WEIGHT_DP_LIMIT", (top // 2 + 1) * cut_space)
+                rows = build_problem(inst, variant).rows
+                weight = sum(rows[0][0])
+                cut_space = prod(rhs + 1 for _, rhs in rows[1:])
+                clipped_space = prod(min(rhs, sum(coeffs)) + 1 for coeffs, rhs in rows[1:])
+                limit = (top // 2 + 1) * cut_space
+                monkeypatch.setattr(subset_select, "_WEIGHT_DP_LIMIT", limit)
                 fresh = {
                     b: solve_exact(build_problem(inst, variant, total_capacity=b)) for b in budgets
                 }
+                fitting = max(b for b in budgets if (min(b, weight) + 1) * clipped_space <= limit)
 
                 # every budget made before the first solve, as the sweep does:
                 # one forward pass, at the largest budget the DP takes
                 family = build_problem(inst, variant, total_capacity=top)
                 probes = [family.at(b) for b in rng.sample(budgets, len(budgets))]
-                tops.clear()
+                built.clear()
                 for probe in probes:
                     assert solve_exact(probe) == fresh[probe.rows[0][1]]
-                assert tops == [top // 2]
+                assert [t for _, t in built] == [min(fitting, weight)]
 
-                # budgets made one at a time, rising: each larger DP budget
-                # rebuilds the tables, and the answers stay the same
+                # budgets made one at a time, rising: unless the top budget
+                # fits, each larger DP budget rebuilds the tables, and the
+                # answers stay the same
                 family = build_problem(inst, variant, total_capacity=top)
-                tops.clear()
+                built.clear()
                 for b in budgets:
                     assert solve_exact(family.at(b)) == fresh[b]
-                assert tops == list(range(top // 2 + 1))
+                want = [min(top, weight)] if fitting == top else list(range(fitting + 1))
+                assert [t for _, t in built] == want
+
+    def test_each_core_is_built_once(self, monkeypatch):
+        # a top budget over the DP limit sends probes to cores of 16, 32, ...
+        # types; with every budget made before the first solve, as the sweep
+        # does, each core size's tables are built once and serve every probe
+        rng = random.Random(25)
+        grew = 0
+        for _ in range(30):
+            k = rng.randint(17, 60)
+            weights = tuple(rng.randint(1, 12) for _ in range(k))
+            cut = tuple(rng.choice((0, 1, 2, 3)) for _ in range(k))
+            cut_row = (cut, rng.randint(0, sum(cut)))
+            top = rng.randint(sum(weights) // 2, sum(weights) + 5)
+            family = SelectionProblem(weights, ((weights, top), cut_row))
+            space = prod(rhs + 1 for _, rhs in family.rows)
+            monkeypatch.setattr(subset_select, "_WEIGHT_DP_LIMIT", rng.randint(space // 4, space - 1))
+            budgets = rng.sample(range(top), min(15, top)) + [top]
+            fresh = {b: solve_exact(SelectionProblem(weights, ((weights, b), cut_row))) for b in budgets}
+            probes = [family.at(b) for b in budgets]
+            built = recording_tables(monkeypatch)
+            for probe in probes:
+                assert solve_exact(probe) == fresh[probe.rows[0][1]], family
+            monkeypatch.undo()
+            sizes = [T for T, _ in built]
+            assert len(sizes) == len(set(sizes)), family
+            grew += len(sizes) > 1
+        # some families built more than one core size
+        assert grew >= 10
 
 
 def reference_solve_exact(problem: SelectionProblem, node_budget=None) -> Selection:
