@@ -4,13 +4,11 @@ from .model import (
     Assignment,
     BiCriteriaMetrics,
     BudgetExceededError,
-    FractionalSolution,
     GmkpError,
     InconsistentSolutionError,
     Instance,
     Selection,
     metrics,
-    normalize,
     validate,
 )
 from .lp_greedy import greedy_lp, sort_groups
@@ -34,7 +32,7 @@ from .heuristics import (
     capacity_sweep,
     pareto_frontier,
 )
-from .oracle import enumerate_feasible_z, exact_gmkp, feasible_packing, solve_dp_single_row
+from .oracle import exact_gmkp
 from .gen import (
     GeneratorParams,
     RewardScheme,

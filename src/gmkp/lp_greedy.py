@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .model import FractionalSolution, Instance
+from .model import Instance
 
 
 def sort_groups(instance: Instance) -> list[int]:
@@ -24,8 +24,8 @@ def sort_groups(instance: Instance) -> list[int]:
     return sorted(range(instance.k), key=lambda l: (-Fraction(instance.rewards[l], gw[l]), l))
 
 
-def greedy_lp(instance: Instance, total_capacity: Optional[int] = None) -> FractionalSolution:
-    """Take groups in sorted order until their weight reaches the budget.
+def greedy_lp(instance: Instance, total_capacity: Optional[int] = None) -> tuple[Fraction, ...]:
+    """The fraction ``z[l]`` of each group ``l``, taken in sorted order until the budget fills.
 
     ``total_capacity`` overrides the aggregate budget for the fractional
     selection (defaults to the sum of capacities).  The physical placement
@@ -50,4 +50,4 @@ def greedy_lp(instance: Instance, total_capacity: Optional[int] = None) -> Fract
             break
         z[l] = Fraction(min(left, gw[l]), gw[l])
         left -= gw[l]
-    return FractionalSolution(z=tuple(z))
+    return tuple(z)

@@ -8,7 +8,6 @@ point enters any solver computation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 # Rewards and weights are bounded so that sums never overflow 64 bits.
@@ -26,8 +25,9 @@ class BudgetExceededError(GmkpError):
 class InconsistentSolutionError(GmkpError):
     """A solution breaks an invariant the solvers guarantee.
 
-    Its selection and assignment disagree about which items are placed, or
-    its max overload exceeds the variant's proven bound.
+    Its selection breaks a row of its own selection problem, its selection
+    and assignment disagree about which items are placed, or its max
+    overload exceeds the variant's proven bound.
     """
 
 
@@ -92,9 +92,6 @@ class Instance:
     def total_capacity(self) -> int:
         return sum(self.capacities)
 
-    def group_weight(self, l: int) -> int:
-        return sum(self.group_items[l])
-
     def group_weights(self) -> tuple[int, ...]:
         return tuple(sum(g) for g in self.group_items)
 
@@ -153,16 +150,6 @@ class Assignment:
 
 
 @dataclass(frozen=True)
-class FractionalSolution:
-    """Fractional group selection: ``z[l]`` is the selected fraction of group ``l``."""
-
-    z: tuple[Fraction, ...]
-
-    def objective(self, instance: Instance) -> Fraction:
-        return sum((zl * p for zl, p in zip(self.z, instance.rewards)), Fraction(0))
-
-
-@dataclass(frozen=True)
 class BiCriteriaMetrics:
     """The exact (reward, worst-knapsack overload) pair that measures one solution."""
 
@@ -212,44 +199,6 @@ def validate(instance: Instance) -> list[str]:
     if sum(instance.rewards) > INT64_MAX or sum(instance.item_weights) > INT64_MAX:
         out.append("overflow: reward or weight totals exceed 64-bit range")
     return out
-
-
-def normalize(instance: Instance) -> Instance:
-    """Drop unusable knapsacks and unassignable groups, to a fixed point.
-
-    A knapsack smaller than every remaining item weight is removed; a group
-    weighing more than the remaining total capacity is removed.  Each removal
-    can enable the other, so the two rules iterate until stable.  Returns the
-    survivors in their order, or ``instance`` itself when nothing is dropped.
-    It drops nothing from an instance that passes ``validate``, whose
-    ``smallest-knapsack``, ``group-fits-total`` and ``knapsack-count`` rules
-    reject all it would change, so loading an instance file skips it.
-
-    Raises ``GmkpError`` if fewer than two knapsacks survive.
-    """
-    caps = list(range(instance.m))
-    grps = list(range(instance.k))
-    while True:
-        weights = [w for l in grps for w in instance.group_items[l]]
-        if not weights:
-            break
-        w_min = min(weights)
-        kept_c = [i for i in caps if instance.capacities[i] >= w_min]
-        total = sum(instance.capacities[i] for i in kept_c)
-        kept_g = [l for l in grps if instance.group_weight(l) <= total]
-        if kept_c == caps and kept_g == grps:
-            break
-        caps, grps = kept_c, kept_g
-    if len(caps) < 2:
-        raise GmkpError(f"normalization left {len(caps)} knapsack(s); need at least 2")
-    if len(caps) == instance.m and len(grps) == instance.k:
-        return instance
-    return Instance(
-        capacities=[instance.capacities[i] for i in caps],
-        group_items=[instance.group_items[l] for l in grps],
-        rewards=[instance.rewards[l] for l in grps],
-        meta=instance.meta,
-    )
 
 
 def metrics(instance: Instance, selection: Selection, assignment: Assignment) -> BiCriteriaMetrics:

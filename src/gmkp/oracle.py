@@ -1,8 +1,7 @@
-"""Exact small-instance machinery: optimal solving, feasibility checks and
-reference solvers for the selection subproblems.
+"""Exact optimum of small instances, for ``gmkp exact``.
 
-Most of it is exponential-time search with pruning, intended for instances
-with at most roughly a dozen groups and a few dozen items.
+Exponential-time search with pruning, intended for instances with at most
+roughly a dozen groups and a few dozen items.
 """
 
 from __future__ import annotations
@@ -11,13 +10,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .assign import heaviest_first
-from .model import (
-    Assignment,
-    BudgetExceededError,
-    Instance,
-    Selection,
-)
-from .subset_select import SelectionProblem
+from .model import Assignment, BudgetExceededError, Instance, Selection
 
 
 @dataclass
@@ -32,24 +25,16 @@ class _Budget:
             raise BudgetExceededError("oracle node budget exceeded")
 
 
-def feasible_packing(
-    instance: Instance,
-    selection: Selection,
-    node_budget: Optional[int] = None,
-) -> Optional[Assignment]:
+def _packing(instance: Instance, selection: Selection, budget: _Budget) -> Optional[Assignment]:
     """A capacity-feasible placement of all chosen items, or None.
 
     Complete depth-first search over placements, items heaviest first.
     Prunes on aggregate residual capacity and skips knapsacks whose
     residual equals one already tried for the current item (equal
-    residuals give symmetric subtrees).  Raises ``BudgetExceededError``
-    rather than returning an unproven answer.
+    residuals give symmetric subtrees).  Each search node ticks on
+    ``budget``, which raises ``BudgetExceededError`` rather than return an
+    unproven answer.
     """
-    return _packing(instance, selection, _Budget(node_budget))
-
-
-def _packing(instance: Instance, selection: Selection, budget: _Budget) -> Optional[Assignment]:
-    """``feasible_packing`` with each search node ticked on ``budget``."""
     items = heaviest_first(instance, selection)
     if not items:
         return Assignment.empty(instance)
@@ -97,7 +82,7 @@ def exact_gmkp(
 
     Branches over group subsets in decreasing-reward order with a
     remaining-reward bound and an aggregate-capacity prune; leaves are
-    certified with :func:`feasible_packing`.  ``node_budget`` bounds the
+    certified with :func:`_packing`.  ``node_budget`` bounds the
     whole search: subset nodes and the packing nodes of every leaf count
     against one budget.
     """
@@ -141,43 +126,3 @@ def exact_gmkp(
     if best_value < 0:  # empty selection is always feasible
         best_value = 0
     return best_value, best_selection, best_assignment
-
-
-def solve_dp_single_row(problem: SelectionProblem) -> Selection:
-    """Classic 0/1 knapsack DP over the single row's right-hand side."""
-    if len(problem.rows) != 1:
-        raise ValueError("DP solver handles exactly one row")
-    coeffs, rhs = problem.rows[0]
-    k = problem.k
-    values = [0] * (rhs + 1)
-    take = [[False] * (rhs + 1) for _ in range(k)]
-    for l in range(k):
-        w, p = coeffs[l], problem.group_rewards[l]
-        if w > rhs:
-            continue
-        row_take = take[l]
-        for cap in range(rhs, w - 1, -1):
-            cand = values[cap - w] + p
-            if cand > values[cap]:
-                values[cap] = cand
-                row_take[cap] = True
-    chosen = [False] * k
-    cap = rhs
-    for l in range(k - 1, -1, -1):
-        if take[l][cap]:
-            chosen[l] = True
-            cap -= coeffs[l]
-    return Selection(tuple(chosen))
-
-
-def enumerate_feasible_z(problem: SelectionProblem) -> set[tuple[bool, ...]]:
-    """All 0/1 group vectors satisfying every row of the problem."""
-    k = problem.k
-    if k > 20:
-        raise ValueError(f"enumeration limited to 20 groups, got {k}")
-    out: set[tuple[bool, ...]] = set()
-    for mask in range(1 << k):
-        chosen = tuple(bool(mask >> l & 1) for l in range(k))
-        if problem.feasible(chosen):
-            out.add(chosen)
-    return out

@@ -19,14 +19,6 @@ from .model import (
 )
 
 VARIANT_LP = "lp"
-ALL_VARIANTS = (
-    VARIANT_LP,
-    subset_select.VARIANT_KP,
-    subset_select.VARIANT_2MKP,
-    subset_select.VARIANT_3MKP,
-    subset_select.VARIANT_MKPD,
-    subset_select.VARIANT_MKP_PRIME,
-)
 
 
 @dataclass(frozen=True)
@@ -62,21 +54,24 @@ def run_algorithm(
     subproblem exactly.  ``total_capacity`` overrides the aggregate
     budget only (cut rows keep their own right-hand sides).  ``problem`` is
     that subproblem when the caller has built it already (``SelectionProblem.at``
-    makes one per budget); otherwise it is built here.  A max overload above
-    the variant's proven bound, ``floor(beta * c_max)``, raises
-    ``InconsistentSolutionError``; the bound holds, and is checked, only at
-    aggregate budgets up to the instance's total capacity.
+    makes one per budget); otherwise it is built here.  A selection that
+    breaks a row of that subproblem raises ``InconsistentSolutionError``, as
+    does a max overload above the variant's proven bound, ``floor(beta *
+    c_max)``; the bound holds, and is checked, only at aggregate budgets up
+    to the instance's total capacity.
     """
     t0 = time.perf_counter()
     if variant == VARIANT_LP:
-        frac = lp_greedy.greedy_lp(instance, total_capacity=total_capacity)
-        selection = Selection(tuple(zl > 0 for zl in frac.z))
+        z = lp_greedy.greedy_lp(instance, total_capacity=total_capacity)
+        selection = Selection(tuple(zl > 0 for zl in z))
     else:
         if problem is None:
             problem = subset_select.build_problem(
                 instance, variant, total_capacity=total_capacity, d_set=d_set
             )
         selection = subset_select.solve_exact(problem, node_budget=node_budget)
+        if not problem.feasible(selection.chosen):
+            raise InconsistentSolutionError(f"{variant} selection breaks a row of its problem")
         del problem  # a problem built here frees its DP tables before placement
     t1 = time.perf_counter()
     assignment = assign.greedy_assign(instance, selection)

@@ -13,7 +13,7 @@ from gmkp.gen import GeneratorParams, generate_instance
 from gmkp.heuristics import binary_search_feasible, capacity_sweep, pareto_frontier
 from gmkp.lp_greedy import greedy_lp
 from gmkp.model import Assignment, Selection
-from gmkp.oracle import enumerate_feasible_z, exact_gmkp, solve_dp_single_row
+from gmkp.oracle import exact_gmkp
 from gmkp.pipeline import run_algorithm
 from gmkp.subset_select import (
     build_problem,
@@ -21,6 +21,7 @@ from gmkp.subset_select import (
     solve_exact,
 )
 from conftest import make, random_small_instance
+from reference import enumerate_feasible_z, solve_dp_single_row
 from test_assign import improving_move_exists, random_assignment
 from test_heuristics import fake_result
 from test_subset_select import brute_force_best, random_problem, selection_value
@@ -53,7 +54,7 @@ def test_ac01_tight_examples():
     # continuous relaxation: one full group, one sliver of the next
     inst = make([4, 4, 4], [4, 4, 3, 3, 3, 3, 3], [(0, 1, 2), (3, 4, 5, 6)], [11, 12])
     frac = greedy_lp(inst)
-    assert frac.z == (Fraction(1), Fraction(1, 12))
+    assert frac == (Fraction(1), Fraction(1, 12))
     lp = run_algorithm(inst, "lp")
     assert lp.selection.indices() == (0, 1)
     assert lp.metrics.max_exceeded == 5  # overload -> 2*c_max as m grows

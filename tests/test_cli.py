@@ -31,7 +31,7 @@ from gmkp.cli import (
     main,
     resolve_algo,
 )
-from gmkp.model import InconsistentSolutionError, validate
+from gmkp.model import InconsistentSolutionError, Selection, validate
 from conftest import make, random_small_instance
 
 
@@ -353,6 +353,18 @@ class TestSolve:
         assert main([*argv, "--total-capacity", "20"]) == EXIT_INTERNAL
         sweep = ["sweep", str(sample[1]), "--factors", "21/20", "--out", str(tmp_path / "s.csv")]
         assert main(sweep) == EXIT_OK
+
+    def test_selection_breaking_its_row_exits_4(self, tmp_path, monkeypatch, capsys):
+        # all three groups weigh 24 > 20, the kp row's rhs; placed, they
+        # overload one knapsack by 6, within kp's proven bound of 10
+        path = tmp_path / "i.json"
+        write_instance(path, make([10, 10], [8, 8, 8], [(0,), (1,), (2,)], [8, 8, 8]))
+        monkeypatch.setattr(subset_select, "solve_exact",
+                            lambda problem, node_budget=None: Selection((True,) * problem.k))
+        assert main(["solve", str(path), "--algo", "kp", "--out", str(tmp_path / "r")]) \
+            == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert "kp selection breaks a row of its problem" in err and "Traceback" not in err
 
     def test_best_algo(self, sample, tmp_path):
         _, path = sample

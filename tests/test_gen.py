@@ -129,7 +129,7 @@ class TestGenerateInstance:
     def test_groups_respect_total_capacity(self):
         inst = generate_instance(params(r_conc=Fraction(99, 100), r_load=Fraction(2)))
         for l in range(inst.k):
-            assert inst.group_weight(l) <= inst.total_capacity
+            assert inst.group_weights()[l] <= inst.total_capacity
 
     def test_rewards_default_to_group_weights(self):
         inst = generate_instance(params())

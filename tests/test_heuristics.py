@@ -79,7 +79,7 @@ class TestCapacitySweep:
         inst = make([10, 11], [6, 5], [(0,), (1,)], [6, 5])
         entries = capacity_sweep(inst, "kp", factors=[Fraction(1, 3)])
         used = sum(
-            inst.group_weight(l) for l in entries[0].result.selection.indices()
+            inst.group_weights()[l] for l in entries[0].result.selection.indices()
         )
         assert used <= (21 * 1) // 3
 

@@ -12,6 +12,16 @@ from gmkp.oracle import exact_gmkp
 from conftest import group_ranges, make, random_small_instance
 
 
+def objective(inst, z):
+    """The fractional reward of the selection ``z``."""
+    return sum(zl * p for zl, p in zip(z, inst.rewards))
+
+
+def used_weight(inst, z):
+    """The fractional weight of the selection ``z``."""
+    return sum(zl * gw for zl, gw in zip(z, inst.group_weights()))
+
+
 def pour(inst, z):
     """Placements ``x[(i, j)]``: the fraction of item ``j`` on knapsack ``i``.
 
@@ -58,14 +68,14 @@ class TestGreedyLp:
     def test_tight_example(self):
         inst = make([4, 4, 4], [4, 4, 3, 3, 3, 3, 3], [(0, 1, 2), (3, 4, 5, 6)], [11, 12])
         frac = greedy_lp(inst)
-        assert frac.z == (Fraction(1), Fraction(1, 12))
+        assert frac == (Fraction(1), Fraction(1, 12))
 
     def test_at_most_one_fractional_group(self):
         rng = random.Random(3)
         for _ in range(60):
             inst = random_small_instance(rng)
             frac = greedy_lp(inst)
-            fractional = [z for z in frac.z if 0 < z < 1]
+            fractional = [z for z in frac if 0 < z < 1]
             assert len(fractional) <= 1
 
     def test_prefix_structure(self):
@@ -76,9 +86,9 @@ class TestGreedyLp:
             order = sort_groups(inst)
             seen_zero = False
             for l in order:
-                if frac.z[l] < 1:
+                if frac[l] < 1:
                     if seen_zero:
-                        assert frac.z[l] == 0
+                        assert frac[l] == 0
                     seen_zero = True
 
     def test_total_weight_equals_min_budget_or_everything(self):
@@ -86,7 +96,7 @@ class TestGreedyLp:
         for _ in range(40):
             inst = random_small_instance(rng)
             frac = greedy_lp(inst)
-            used = sum(frac.z[l] * inst.group_weight(l) for l in range(inst.k))
+            used = used_weight(inst, frac)
             assert used == min(inst.total_capacity, sum(inst.item_weights))
 
     def test_placements_match_z_and_fit_capacities(self):
@@ -96,21 +106,21 @@ class TestGreedyLp:
             frac = greedy_lp(inst)
             loads = [Fraction(0)] * inst.m
             placed = [Fraction(0)] * inst.n
-            for (i, j), share in pour(inst, frac.z).items():
+            for (i, j), share in pour(inst, frac).items():
                 loads[i] += share * inst.item_weights[j]
                 placed[j] += share
             for i in range(inst.m):
                 assert loads[i] <= inst.capacities[i]
             for l, g in enumerate(group_ranges(inst)):
                 for j in g:
-                    assert placed[j] == frac.z[l]
+                    assert placed[j] == frac[l]
 
     def test_sparse_x(self):
         rng = random.Random(7)
         for _ in range(40):
             inst = random_small_instance(rng)
             frac = greedy_lp(inst)
-            assert len(pour(inst, frac.z)) <= inst.n + inst.m
+            assert len(pour(inst, frac)) <= inst.n + inst.m
 
     def test_objective_at_least_integer_optimum(self):
         rng = random.Random(8)
@@ -118,23 +128,23 @@ class TestGreedyLp:
             inst = random_small_instance(rng)
             frac = greedy_lp(inst)
             v_star, _, _ = exact_gmkp(inst)
-            assert frac.objective(inst) >= v_star
+            assert objective(inst, frac) >= v_star
 
     def test_budget_override(self):
         inst = make([10, 10], [6, 4, 5], [(0, 1), (2,)], [10, 5])
         frac = greedy_lp(inst, total_capacity=5)
-        used = sum(frac.z[l] * inst.group_weight(l) for l in range(inst.k))
+        used = used_weight(inst, frac)
         assert used == 5
 
     def test_budget_zero_selects_nothing(self):
         inst = make([10, 10], [6], [(0,)], [6])
         frac = greedy_lp(inst, total_capacity=0)
-        assert frac.z == (Fraction(0),) and pour(inst, frac.z) == {}
+        assert frac == (Fraction(0),) and pour(inst, frac) == {}
 
     def test_budget_above_capacity_sum_is_clamped(self):
         inst = make([5, 5], [6, 6], [(0,), (1,)], [6, 6])
         frac = greedy_lp(inst, total_capacity=1000)
-        used = sum(frac.z[l] * inst.group_weight(l) for l in range(inst.k))
+        used = used_weight(inst, frac)
         assert used == 10
 
     def test_negative_budget_rejected(self):
@@ -150,4 +160,4 @@ def test_budget_monotonicity(seed, budget):
     inst = random_small_instance(rng)
     lo = greedy_lp(inst, total_capacity=budget)
     hi = greedy_lp(inst, total_capacity=budget + 5)
-    assert hi.objective(inst) >= lo.objective(inst)
+    assert objective(inst, hi) >= objective(inst, lo)

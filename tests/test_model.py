@@ -1,4 +1,4 @@
-"""Domain types: validation, normalization, metrics."""
+"""Domain types: validation, metrics, and the drop rules validation makes redundant."""
 
 import random
 
@@ -13,10 +13,10 @@ from gmkp.model import (
     Instance,
     Selection,
     metrics,
-    normalize,
     validate,
 )
 from conftest import make, random_small_instance
+from reference import normalize
 
 
 class TestValidate:
@@ -66,6 +66,9 @@ class TestValidate:
 
 
 class TestNormalize:
+    """The reference drop rules drop what they should, so that the
+    fixed-point property at the end of this file is not vacuous."""
+
     def test_noop_on_clean_instance(self):
         inst = make([5, 5], [3, 2], [(0, 1)], [5])
         assert normalize(inst) is inst
@@ -164,8 +167,8 @@ SMALL = st.integers(-2, 12)
 )
 @settings(max_examples=500, deadline=None)
 def test_normalize_keeps_every_valid_instance(caps, groups):
-    # the CLI loads without normalizing: validate already rejects whatever
-    # normalize would drop (smallest-knapsack, group-fits-total, knapsack-count)
+    # the CLI loads without a drop pass: validate already rejects whatever
+    # the drop rules would change (smallest-knapsack, group-fits-total, knapsack-count)
     inst = Instance(caps, [items for _, items in groups], [p for p, _ in groups])
     if validate(inst) == []:
         assert normalize(inst) is inst

@@ -6,9 +6,10 @@ import random
 import pytest
 
 from gmkp.model import BudgetExceededError, Selection
-from gmkp.oracle import enumerate_feasible_z, exact_gmkp, feasible_packing
+from gmkp.oracle import exact_gmkp
 from gmkp.subset_select import SelectionProblem
 from conftest import group_ranges, make, random_small_instance
+from reference import enumerate_feasible_z, feasible_packing
 
 
 def packable_by_enumeration(instance, selection):

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from gmkp import gen, subset_select
 from gmkp.model import BudgetExceededError, Selection
-from gmkp.oracle import enumerate_feasible_z, solve_dp_single_row
 from gmkp.subset_select import (
     _WEIGHT_DP_LIMIT,
     SelectionProblem,
@@ -24,6 +23,7 @@ from gmkp.subset_select import (
     solve_exact,
 )
 from conftest import make, random_small_instance, recording_tables
+from reference import enumerate_feasible_z, solve_dp_single_row
 
 
 def brute_force_best(problem: SelectionProblem) -> int:
