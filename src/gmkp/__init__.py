@@ -17,12 +17,12 @@ from .subset_select import (
     build_problem,
     canonical_D,
     f_d,
+    hundred_mkp_d_set,
     solve_exact,
 )
 from .assign import greedy_assign, swap_optimal
 from .pipeline import (
     SolveResult,
-    hundred_mkp_d_set,
     run_algorithm,
     run_best,
 )

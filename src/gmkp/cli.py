@@ -196,12 +196,12 @@ def resolve_algo(
         if d_set_text is not None:
             raise CliInputError(f"--d-set goes only with --algo mkpd, not {algo}")
         if algo == "100mkp":
-            return "mkpd", pipeline.hundred_mkp_d_set(instance.c_max)
+            return "mkpd", subset_select.hundred_mkp_d_set(instance.c_max)
         return algo, None
     if d_set_text is None:
         raise CliInputError("--algo mkpd requires --d-set")
     if d_set_text.strip() == "canonical":
-        return "mkpd", subset_select.canonical_D(instance)  # a set: the bound looks c/2 up
+        return "mkpd", subset_select.canonical_D(instance)
     return "mkpd", _fractions(d_set_text, "--d-set")
 
 

@@ -29,7 +29,7 @@ def _empty_result(instance: Instance, algorithm: str) -> SolveResult:
 def _shared_problem(
     instance: Instance, variant: str, top: int, d_set: Optional[Iterable[Fraction]]
 ) -> Optional[subset_select.SelectionProblem]:
-    """The selection problem every probe of one heuristic call solves; none for ``lp``."""
+    """The problem, bound included, that every probe of one call solves; none for ``lp``."""
     if variant == pipeline.VARIANT_LP:
         return None
     return subset_select.build_problem(instance, variant, total_capacity=top, d_set=d_set)
@@ -58,9 +58,9 @@ def binary_search_feasible(
     ``(total_capacity + 1).bit_length()`` probes run.  A probe's solver
     error (an exhausted ``node_budget``, say) propagates to the caller, and
     so does the ``InconsistentSolutionError`` that ``run_algorithm`` raises
-    for a probe whose overload breaks the variant's proven bound.
-    The selection problem is built once, at ``total_capacity``, and every
-    probe solves it at its own budget.
+    for a probe whose overload breaks the variant's proven bound.  The
+    selection problem, bound included, is built once, at ``total_capacity``,
+    from one read of ``d_set``; every probe solves it at its own budget.
     """
     left, right = 0, instance.total_capacity
     problem = _shared_problem(instance, variant, right, d_set)
@@ -74,7 +74,6 @@ def binary_search_feasible(
             variant,
             swap_opt=swap_opt,
             total_capacity=mid,
-            d_set=d_set,
             node_budget=node_budget,
             problem=None if problem is None else problem.at(mid),
         )
@@ -107,10 +106,10 @@ def capacity_sweep(
     A factor whose run exhausts ``node_budget`` becomes an error entry; any
     other error propagates, among them the ``InconsistentSolutionError`` that
     ``run_algorithm`` raises when a run at a budget up to the total capacity
-    breaks the variant's proven overload bound.
-    The selection problem is built once, at the largest budget, and made at
-    every budget before the first run, so each weight-DP core's forward pass
-    is built once, at the largest budget it takes.
+    breaks the variant's proven overload bound.  The selection problem,
+    bound included, is built once, at the largest budget, from one read of
+    ``d_set``, and made at every budget before the first run, so each
+    weight-DP core's forward pass is built once, at the largest budget.
     """
     factors = [Fraction(f) for f in factors]
     if any(f <= 0 for f in factors):
@@ -127,7 +126,6 @@ def capacity_sweep(
                 variant,
                 swap_opt=swap_opt,
                 total_capacity=budget,
-                d_set=d_set,
                 node_budget=node_budget,
                 problem=probe,
             )

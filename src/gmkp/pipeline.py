@@ -33,11 +33,6 @@ class SolveResult:
     swap_opt_applied: bool = False
 
 
-def hundred_mkp_d_set(c_max: int) -> list[Fraction]:
-    """Thresholds c/2, c/3, ..., c/c used by the many-cuts configuration."""
-    return [Fraction(c_max, q) for q in range(2, c_max + 1)]
-
-
 def run_algorithm(
     instance: Instance,
     variant: str,
@@ -56,14 +51,15 @@ def run_algorithm(
     that subproblem when the caller has built it already (``SelectionProblem.at``
     makes one per budget); otherwise it is built here.  A selection that
     breaks a row of that subproblem raises ``InconsistentSolutionError``, as
-    does a max overload above the variant's proven bound, ``floor(beta *
-    c_max)``; the bound holds, and is checked, only at aggregate budgets up
-    to the instance's total capacity.
+    does a max overload above the proven bound ``floor(beta * c_max)``, beta
+    2 for ``lp`` and the problem's ``beta`` otherwise; the bound holds, and is
+    checked, only at aggregate budgets up to the instance's total capacity.
     """
     t0 = time.perf_counter()
     if variant == VARIANT_LP:
         z = lp_greedy.greedy_lp(instance, total_capacity=total_capacity)
         selection = Selection(tuple(zl > 0 for zl in z))
+        beta = Fraction(2)
     else:
         if problem is None:
             problem = subset_select.build_problem(
@@ -72,6 +68,7 @@ def run_algorithm(
         selection = subset_select.solve_exact(problem, node_budget=node_budget)
         if not problem.feasible(selection.chosen):
             raise InconsistentSolutionError(f"{variant} selection breaks a row of its problem")
+        beta = problem.beta
         del problem  # a problem built here frees its DP tables before placement
     t1 = time.perf_counter()
     assignment = assign.greedy_assign(instance, selection)
@@ -81,7 +78,7 @@ def run_algorithm(
     t3 = time.perf_counter()
     result_metrics = metrics(instance, selection, assignment)
     if total_capacity is None or total_capacity <= instance.total_capacity:
-        cap = floor(beta_bound_for(instance, variant, d_set) * instance.c_max)
+        cap = floor(beta * instance.c_max)
         if result_metrics.max_exceeded > cap:
             raise InconsistentSolutionError(
                 f"{variant} overload {result_metrics.max_exceeded} exceeds its proven bound {cap}")
@@ -118,67 +115,3 @@ def run_best(
             best = (key, res)
     assert best is not None
     return best[1]
-
-
-def _is_power_of(value: int, a: int) -> bool:
-    while value % a == 0:
-        value //= a
-    return value == 1
-
-
-def powers_of_common_base(values: Iterable[int]) -> Optional[int]:
-    """Smallest integer a >= 2 such that every value is a power of a, if any.
-
-    Values equal to 1 count as a^0.  Returns None when no base works.
-    """
-    vals = [v for v in set(values) if v > 1]
-    if not vals:
-        return 2  # everything is 1
-    least = min(vals)
-    for a in range(2, least + 1):
-        # a base of every value divides the least one
-        if least % a == 0 and all(_is_power_of(v, a) for v in vals):
-            return a
-    return None
-
-
-def beta_bound_for(
-    instance: Instance, variant: str, d_set: Optional[Iterable[Fraction]] = None
-) -> Fraction:
-    """The proven overload bound (as a fraction of the largest capacity).
-
-    Each variant reads only what its bound depends on, so the common-base
-    scan over every item weight runs for ``kp`` and ``mkpprime`` alone.
-    Raises ``ValueError`` on an unknown variant.
-    """
-    equal_caps = len(set(instance.capacities)) == 1
-    c_max = instance.c_max
-
-    def has_common_base() -> bool:
-        values = list(instance.capacities) + list(instance.item_weights)
-        return powers_of_common_base(values) is not None
-
-    if variant == VARIANT_LP:
-        return Fraction(2)
-    if variant == subset_select.VARIANT_KP:
-        if equal_caps and has_common_base():
-            return Fraction(0)
-        return Fraction(1)
-    if variant == subset_select.VARIANT_2MKP:
-        if equal_caps and all(2 * w > c_max for w in instance.item_weights):
-            return Fraction(0)
-        return Fraction(1, 2)
-    if variant == subset_select.VARIANT_3MKP:
-        return Fraction(1, 3) if equal_caps else Fraction(1, 2)
-    if variant == subset_select.VARIANT_MKPD:
-        # membership, no conversion: every run checks its bound; 100mkp's list
-        # starts at c_max/2, and `canonical` comes as a set
-        ds = () if d_set is None else d_set
-        if Fraction(c_max, 2) not in ds:
-            return Fraction(1)  # still a relaxation of the aggregate row
-        return Fraction(1, 3) if equal_caps and Fraction(c_max, 3) in ds else Fraction(1, 2)
-    if variant == subset_select.VARIANT_MKP_PRIME:
-        if has_common_base():
-            return Fraction(0)
-        return Fraction(1)
-    raise ValueError(f"unknown variant {variant!r}")

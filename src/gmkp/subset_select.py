@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from math import gcd, prod
 from typing import Iterable, Optional, Sequence
 
@@ -120,10 +121,14 @@ class SelectionProblem:
 
     Each row is a (coefficients, right-hand side) pair.  Row 0 is the
     aggregate weight row; further rows are threshold cuts or floor cuts.
+    ``beta`` is the overload bound, as a fraction of the largest capacity,
+    that the rows prove for a selection placed greedily; the aggregate row
+    alone proves 1.
     """
 
     group_rewards: tuple[int, ...]
     rows: tuple[tuple[tuple[int, ...], int], ...]
+    beta: Fraction = Fraction(1)
     _shared: _Shared = field(default_factory=_Shared, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -143,17 +148,14 @@ class SelectionProblem:
         problem built at ``total_capacity``.
         """
         probe = SelectionProblem(
-            self.group_rewards, ((self.rows[0][0], total_capacity), *self.rows[1:])
+            self.group_rewards, ((self.rows[0][0], total_capacity), *self.rows[1:]), self.beta
         )
         object.__setattr__(probe, "_shared", self._shared)
         self._shared.budgets.add(total_capacity)
         return probe
 
     def feasible(self, chosen: Sequence[bool]) -> bool:
-        for coeffs, rhs in self.rows:
-            if sum(c for c, b in zip(coeffs, chosen) if b) > rhs:
-                return False
-        return True
+        return all(sum(compress(coeffs, chosen)) <= rhs for coeffs, rhs in self.rows)
 
 
 def f_d(y: int, d: Fraction) -> int:
@@ -168,6 +170,11 @@ def f_d(y: int, d: Fraction) -> int:
     if d <= 0:
         raise ValueError("d must be positive")
     return (y * d.denominator - 1) // d.numerator
+
+
+def hundred_mkp_d_set(c_max: int) -> list[Fraction]:
+    """Thresholds c/2, c/3, ..., c/c used by the many-cuts configuration."""
+    return [Fraction(c_max, q) for q in range(2, c_max + 1)]
 
 
 def canonical_D(instance: Instance) -> set[Fraction]:
@@ -198,6 +205,28 @@ def canonical_D(instance: Instance) -> set[Fraction]:
     return out
 
 
+def _is_power_of(value: int, a: int) -> bool:
+    while value % a == 0:
+        value //= a
+    return value == 1
+
+
+def powers_of_common_base(values: Iterable[int]) -> Optional[int]:
+    """Smallest integer a >= 2 such that every value is a power of a, if any.
+
+    Values equal to 1 count as a^0.  Returns None when no base works.
+    """
+    vals = [v for v in set(values) if v > 1]
+    if not vals:
+        return 2  # everything is 1
+    least = min(vals)
+    for a in range(2, least + 1):
+        # a base of every value divides the least one
+        if least % a == 0 and all(_is_power_of(v, a) for v in vals):
+            return a
+    return None
+
+
 def build_problem(
     instance: Instance,
     variant: str,
@@ -207,33 +236,53 @@ def build_problem(
     """Assemble the selection subproblem for one algorithm variant.
 
     Row 0 carries the aggregate group weights against ``total_capacity``
-    (default: sum of capacities).  The variant decides which cut rows are
-    appended:
+    (default: sum of capacities).  The variant decides the cut rows and the
+    overload bound ``beta`` they prove at budgets up to the total capacity
+    ("equal": equal capacities; "a base": every capacity and item weight is
+    a power of one integer):
 
-    - ``kp``: none.
-    - ``2mkp``: the half-capacity cut.
-    - ``3mkp``: the half- and third-capacity cuts.
-    - ``mkpd``: one cut per threshold in ``d_set``.
+    - ``kp``: none; 0 if equal with a base, else 1.
+    - ``2mkp``: the half-capacity cut; 0 if equal and every item is over
+      c_max/2, else 1/2.
+    - ``3mkp``: the half- and third-capacity cuts; 1/3 if equal, else 1/2.
+    - ``mkpd``: one cut per threshold in ``d_set``, read once; 1 without
+      c_max/2 in it, 1/3 if equal with c_max/3 in it too, else 1/2.
     - ``mkpprime``: one floor cut per distinct item weight above the
-      smallest capacity.
+      smallest capacity; 0 with a base, else 1.
     """
     if total_capacity is None:
         total_capacity = instance.total_capacity
     cut_rows: list[tuple[tuple[int, ...], int]] = []
 
     c_max = instance.c_max
+    equal_caps = len(set(instance.capacities)) == 1
+
+    def has_common_base() -> bool:
+        return powers_of_common_base(instance.capacities + instance.item_weights) is not None
+
     if variant == VARIANT_KP:
         ds: list[Fraction] = []
+        beta = Fraction(0) if equal_caps and has_common_base() else Fraction(1)
     elif variant == VARIANT_2MKP:
         ds = [Fraction(c_max, 2)]
+        heavy = equal_caps and all(2 * w > c_max for w in instance.item_weights)
+        beta = Fraction(0) if heavy else Fraction(1, 2)
     elif variant == VARIANT_3MKP:
         ds = [Fraction(c_max, 2), Fraction(c_max, 3)]
+        beta = Fraction(1, 3) if equal_caps else Fraction(1, 2)
     elif variant == VARIANT_MKPD:
         if d_set is None:
             raise ValueError("mkpd variant requires d_set")
-        ds = sorted({Fraction(d) for d in d_set}, reverse=True)
+        thresholds = {Fraction(d) for d in d_set}
+        ds = sorted(thresholds, reverse=True)
         if any(d <= 0 for d in ds):
             raise ValueError("thresholds must be positive")
+        if Fraction(c_max, 2) not in thresholds:
+            beta = Fraction(1)  # still a relaxation of the aggregate row
+        elif equal_caps and Fraction(c_max, 3) in thresholds:
+            beta = Fraction(1, 3)
+        else:
+            beta = Fraction(1, 2)
     elif variant == VARIANT_MKP_PRIME:
         ds = []
         c_min = min(instance.capacities)
@@ -241,6 +290,7 @@ def build_problem(
             coeffs = tuple(sum(w // d for w in g) for g in instance.group_items)
             rhs = sum(c // d for c in instance.capacities)
             cut_rows.append((coeffs, rhs))
+        beta = Fraction(0) if has_common_base() else Fraction(1)
     else:
         raise ValueError(f"unknown variant {variant!r}")
 
@@ -260,7 +310,7 @@ def build_problem(
         if any(coeffs):
             cuts[coeffs] = min(rhs, cuts.get(coeffs, rhs))
     aggregate = (instance.group_weights(), int(total_capacity))
-    return SelectionProblem(instance.rewards, (aggregate, *cuts.items()))
+    return SelectionProblem(instance.rewards, (aggregate, *cuts.items()), beta)
 
 
 class _WeightTables:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
+from fractions import Fraction
 from itertools import accumulate, pairwise
 
 import pytest
@@ -88,6 +90,20 @@ def recording_tables(monkeypatch) -> list[tuple[int, int]]:
 
     monkeypatch.setattr(subset_select, "_WeightTables", Recording)
     return built
+
+
+def break_bound(monkeypatch, variant: str) -> None:
+    """Patch ``build_problem`` to give ``variant``'s problems beta -2.
+
+    A bound of -2 * c_max: every placement of those problems breaks it.
+    """
+    build = subset_select.build_problem
+
+    def build_broken(instance, tag, *args, **kwargs):
+        problem = build(instance, tag, *args, **kwargs)
+        return dataclasses.replace(problem, beta=Fraction(-2)) if tag == variant else problem
+
+    monkeypatch.setattr(subset_select, "build_problem", build_broken)
 
 
 @pytest.fixture(scope="session")

@@ -6,11 +6,14 @@ fast path must agree with.
 
 from __future__ import annotations
 
-from typing import Optional
+from fractions import Fraction
+from typing import Iterable, Optional
 
+from gmkp import subset_select
 from gmkp.model import Assignment, GmkpError, Instance, Selection
 from gmkp.oracle import _Budget, _packing
-from gmkp.subset_select import SelectionProblem
+from gmkp.pipeline import VARIANT_LP
+from gmkp.subset_select import SelectionProblem, powers_of_common_base
 
 
 def feasible_packing(
@@ -82,3 +85,45 @@ def normalize(inst: Instance) -> Instance:
     if (len(caps), len(groups)) == (inst.m, inst.k):
         return inst
     return Instance(caps, [g for _, g in groups], [p for p, _ in groups], inst.meta)
+
+
+def beta_bound_for(
+    instance: Instance, variant: str, d_set: Optional[Iterable[Fraction]] = None
+) -> Fraction:
+    """The proven overload bound (as a fraction of the largest capacity).
+
+    Each variant reads only what its bound depends on, so the common-base
+    scan over every item weight runs for ``kp`` and ``mkpprime`` alone.
+    Raises ``ValueError`` on an unknown variant.
+    """
+    equal_caps = len(set(instance.capacities)) == 1
+    c_max = instance.c_max
+
+    def has_common_base() -> bool:
+        values = list(instance.capacities) + list(instance.item_weights)
+        return powers_of_common_base(values) is not None
+
+    if variant == VARIANT_LP:
+        return Fraction(2)
+    if variant == subset_select.VARIANT_KP:
+        if equal_caps and has_common_base():
+            return Fraction(0)
+        return Fraction(1)
+    if variant == subset_select.VARIANT_2MKP:
+        if equal_caps and all(2 * w > c_max for w in instance.item_weights):
+            return Fraction(0)
+        return Fraction(1, 2)
+    if variant == subset_select.VARIANT_3MKP:
+        return Fraction(1, 3) if equal_caps else Fraction(1, 2)
+    if variant == subset_select.VARIANT_MKPD:
+        # membership, no conversion: every run checks its bound; 100mkp's list
+        # starts at c_max/2, and `canonical` comes as a set
+        ds = () if d_set is None else d_set
+        if Fraction(c_max, 2) not in ds:
+            return Fraction(1)  # still a relaxation of the aggregate row
+        return Fraction(1, 3) if equal_caps and Fraction(c_max, 3) in ds else Fraction(1, 2)
+    if variant == subset_select.VARIANT_MKP_PRIME:
+        if has_common_base():
+            return Fraction(0)
+        return Fraction(1)
+    raise ValueError(f"unknown variant {variant!r}")

@@ -8,7 +8,6 @@ import random
 import subprocess
 import sys
 import tempfile
-from fractions import Fraction
 from math import prod
 from pathlib import Path
 
@@ -32,7 +31,7 @@ from gmkp.cli import (
     resolve_algo,
 )
 from gmkp.model import InconsistentSolutionError, Selection, validate
-from conftest import make, random_small_instance
+from conftest import break_bound, make, random_small_instance
 
 
 def write_instance(path, instance):
@@ -272,8 +271,8 @@ class TestSolve:
 
     def test_canonical_set_and_sorted_list_agree(self, tmp_path, monkeypatch):
         # `canonical` passes canonical_D's set through, which build_problem
-        # sorts and the bound looks c_max/2 up in; the sorted list it replaced
-        # gives the same bound and the same output
+        # sorts and, for the bound, looks c_max/2 up in; the sorted list it
+        # replaced gives the same bound and the same output
         canonical_D = subset_select.canonical_D
         rng = random.Random(71)
         bounds = set()
@@ -282,8 +281,8 @@ class TestSolve:
             variant, d_set = resolve_algo(inst, "mkpd", "canonical")
             listed = sorted(d_set, reverse=True)
             assert d_set == canonical_D(inst)
-            bound = pipeline.beta_bound_for(inst, variant, d_set)
-            assert bound == pipeline.beta_bound_for(inst, variant, listed)
+            bound = subset_select.build_problem(inst, variant, d_set=d_set).beta
+            assert bound == subset_select.build_problem(inst, variant, d_set=listed).beta
             bounds.add(bound)
             path, docs = tmp_path / f"inst{trial}.json", []
             write_instance(path, inst)
@@ -337,17 +336,14 @@ class TestSolve:
                                                     tmp_path, monkeypatch, capsys):
         # every run of best ties, and lp, first in order, wins: 3mkp loses
         assert pipeline.run_best(sample[0]).algorithm != broken
-        # a bound of -2 * c_max for ``broken``: every placement breaks it
-        bound = pipeline.beta_bound_for
-        monkeypatch.setattr(pipeline, "beta_bound_for", lambda inst, variant, d_set: (
-            Fraction(-2) if variant == broken else bound(inst, variant, d_set)))
+        break_bound(monkeypatch, broken)
         argv = [command, str(sample[1]), "--algo", algo, "--out", str(tmp_path / "r")]
         assert main(argv) == EXIT_INTERNAL
         assert "exceeds its proven bound" in capsys.readouterr().err
 
     def test_overload_unchecked_above_the_total_capacity(self, sample, tmp_path, monkeypatch):
         # the bound holds for aggregate budgets up to the total capacity only
-        monkeypatch.setattr(pipeline, "beta_bound_for", lambda *args: Fraction(-2))
+        break_bound(monkeypatch, "2mkp")
         argv = ["solve", str(sample[1]), "--algo", "2mkp", "--out", str(tmp_path / "r.json")]
         assert main([*argv, "--total-capacity", "21"]) == EXIT_OK
         assert main([*argv, "--total-capacity", "20"]) == EXIT_INTERNAL

@@ -49,6 +49,18 @@ class TestBinarySearchFeasible:
             out = binary_search_feasible(inst, "kp")
             assert 1 <= out.probes <= (inst.total_capacity + 1).bit_length()
 
+    def test_common_base_scan_runs_once(self, monkeypatch):
+        # kp's bound needs the scan on equal capacities; it is part of the
+        # one problem every probe shares
+        scans = []
+        scan = subset_select.powers_of_common_base
+        monkeypatch.setattr(subset_select, "powers_of_common_base",
+                            lambda values: scans.append(1) or scan(values))
+        inst = make([8, 8], [2, 4, 3, 5], [(0, 1), (2,), (3,)], [6, 3, 5])
+        assert binary_search_feasible(inst, "kp").probes > 1
+        assert len(capacity_sweep(inst, "kp")) > 1
+        assert len(scans) == 2
+
     def test_empty_when_nothing_fits(self):
         inst = make([5, 6], [6, 6], [(0, 1)], [12])
         out = binary_search_feasible(inst, "kp")
